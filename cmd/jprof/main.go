@@ -9,7 +9,7 @@
 //	      [-heap-limit W] [-scale K] [-parallel N] [-tierstats] [-list]
 //	      [-cell-timeout D] [-max-retries N] [-retry-seed S]
 //	      [-cache-dir DIR] [-cache off|ro|rw] [-cache-verify N]
-//	      [-cache-max-mb MB] [-cellstats] [-trace FILE] [-metrics FILE]
+//	      [-cache-max-mb MB] [-trace FILE] [-metrics FILE]
 //	      <scenario|family>... | all
 //
 // A cell that panics, exceeds -cell-timeout or fails is reported in
@@ -31,21 +31,22 @@
 // content-addressed result cache (see docs/caching.md): a warm rerun
 // serves reports from disk byte-identically and prints a stats trailer
 // on stderr. -cache-verify N re-executes a deterministic 1-in-N sample
-// of hits and fails loudly on mismatch. -cellstats appends each
-// result's host-side production cost (never part of cached payloads);
-// with -json it becomes a trailing {"host":...} object after the
-// report, keeping the report itself engine-independent.
+// of hits and fails loudly on mismatch.
+//
+// -trace FILE writes a Chrome trace_event timeline whose cell spans carry
+// each report's host-side production cost (wall time, alloc_bytes,
+// serving source), and -metrics FILE dumps the per-family registry with
+// the matching cell_wall_ns and cell_alloc_bytes histograms (see
+// docs/observability.md). Neither changes stdout.
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/agents/aprof"
 	"repro/internal/agents/bic"
@@ -78,7 +79,6 @@ func main() {
 	parallel := runner.AddFlag(flag.CommandLine)
 	robust := runner.AddRobustFlags(flag.CommandLine)
 	cacheFlags := resultcache.AddFlags(flag.CommandLine)
-	cellStats := flag.Bool("cellstats", false, "append each result's host-side production cost (wall time, allocations, source); with -json a trailing {\"host\":...} object")
 	telFlags := telemetry.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -133,7 +133,7 @@ func main() {
 	tel := telFlags.Open()
 	sum := telemetry.NewSummary("jprof", os.Stderr)
 	cache.SetTelemetry(tel)
-	memo := new(resultcache.Memo)
+	res := &resultcache.Resolver{Cache: cache, VerifyN: cacheFlags.VerifyN(), Tel: tel}
 	ropts := runner.Options{
 		Parallelism: *parallel,
 		EmitFailed:  true,
@@ -148,9 +148,14 @@ func main() {
 			Key:   s.Name() + "/" + *agentName,
 			Group: s.Family,
 			Do: func(ctx context.Context) (string, error) {
-				return profileCell(ctx, s, *agentName, *scale, opts,
-					*asJSON, *perMethod, *tierStats, *cellStats,
-					cache, cacheFlags.VerifyN(), memo, tel)
+				key, err := profileKey(s, *agentName, *scale, opts, *asJSON, *perMethod, *tierStats)
+				if err != nil {
+					return "", err
+				}
+				cell := resultcache.Cell{Key: key, Name: s.Name() + "/" + *agentName, Family: s.Family}
+				return resultcache.Resolve(ctx, res, cell, func(ctx context.Context) (string, error) {
+					return profileOne(ctx, s, *agentName, *scale, opts, *asJSON, *perMethod, *tierStats)
+				})
 			},
 		}
 	}
@@ -169,12 +174,7 @@ func main() {
 		}
 		fmt.Print(r.Value)
 	}
-	if cache != nil {
-		if cerr := cache.Close(); cerr != nil {
-			sum.Error(cerr)
-		}
-		sum.Stat(cache.Stats())
-	}
+	cache.Finish(sum)
 	telFlags.Finish(tel, sum)
 	if failed > 0 {
 		// Cell failures are already reported in place; the batch error is
@@ -204,122 +204,6 @@ func profileKey(s scenarios.Scenario, agentName string, scale int, opts vm.Optio
 		TierStats bool       `json:"tierStats"`
 		Kind      string     `json:"payloadKind"`
 	}{s.Identity(), agentName, opts, scale, asJSON, perMethod, tierStats, "jprof-rendered"})
-}
-
-// profileCell resolves one report through the result cache and the
-// in-process memo before falling back to a real profiling run. The
-// cached payload is the rendered report alone; the -cellstats host-cost
-// line (or trailing {"host":...} object with -json) is appended outside
-// it, so cold and warm report bytes stay identical and the telemetry
-// reflects how this invocation produced the result.
-func profileCell(ctx context.Context, s scenarios.Scenario, agentName string, scale int,
-	opts vm.Options, asJSON, perMethod, tierStats, cellStats bool,
-	cache *resultcache.Cache, verifyN int, memo *resultcache.Memo,
-	tel *telemetry.Recorder) (string, error) {
-	if tel != nil {
-		var span *telemetry.Span
-		ctx, span = tel.StartSpan(ctx, telemetry.CatCampaign, "cell")
-		if span != nil {
-			span.Arg("cell", s.Name()+"/"+agentName).Arg("family", s.Family)
-		}
-		start := time.Now()
-		defer func() {
-			tel.Observe(s.Family, telemetry.MetricCellWallNanos,
-				float64(time.Since(start).Nanoseconds()))
-			span.End()
-		}()
-	}
-	var doneHost func(string) core.HostStats
-	if cellStats {
-		doneHost = core.StartHostMeasure()
-	}
-	finish := func(text, source string) (string, error) {
-		if doneHost == nil {
-			return text, nil
-		}
-		h := doneHost(source)
-		if asJSON {
-			var buf bytes.Buffer
-			buf.WriteString(text)
-			if err := core.WriteHostJSON(&buf, h); err != nil {
-				return "", err
-			}
-			return buf.String(), nil
-		}
-		return text + "host: " + h.String() + "\n", nil
-	}
-	key, err := profileKey(s, agentName, scale, opts, asJSON, perMethod, tierStats)
-	if err != nil {
-		return "", err
-	}
-	decode := func(raw json.RawMessage, source string) (string, error) {
-		var text string
-		if err := json.Unmarshal(raw, &text); err != nil {
-			return "", fmt.Errorf("corrupt %s payload for %s: %w", source, s.Name(), err)
-		}
-		return text, nil
-	}
-	execute := func() (json.RawMessage, error) {
-		text, err := profileOne(ctx, s, agentName, scale, opts, asJSON, perMethod, tierStats)
-		if err != nil {
-			return nil, err
-		}
-		return checkpoint.CanonicalPayload(text)
-	}
-	if raw, ok := cache.Get(key); ok {
-		if resultcache.VerifySample(key, verifyN) {
-			fresh, err := execute()
-			if err != nil {
-				return "", err
-			}
-			if err := cache.Verify(key, raw, fresh); err != nil {
-				return "", err
-			}
-			text, err := decode(fresh, "verify")
-			if err != nil {
-				return "", err
-			}
-			return finish(text, "verify")
-		}
-		if text, err := decode(raw, "cache"); err == nil {
-			return finish(text, "cache")
-		}
-		// A valid record wrapping an undecodable payload falls through as
-		// a miss, like every other flavour of cache damage.
-	}
-	raw, shared, err := memo.Do(key, func() (json.RawMessage, error) {
-		raw, err := execute()
-		if err != nil {
-			return nil, err
-		}
-		if err := cache.Put(key, raw); err != nil {
-			// An unwritable cache is environmental, so retryable.
-			return nil, runner.Transient(err)
-		}
-		return raw, nil
-	})
-	if err != nil {
-		if !shared {
-			return "", err
-		}
-		// A deduplicated sibling's failure (an injected fault, a timeout)
-		// must stay its own: run this cell's attempt instead of inheriting
-		// the error.
-		if raw, err = execute(); err != nil {
-			return "", err
-		}
-		shared = false
-	}
-	source := "run"
-	if shared {
-		cache.AddDeduped(1)
-		source = "dedup"
-	}
-	text, err := decode(raw, "execution")
-	if err != nil {
-		return "", err
-	}
-	return finish(text, source)
 }
 
 // profileOne runs one scenario under a fresh agent on its own VM and

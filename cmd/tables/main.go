@@ -10,9 +10,8 @@
 //	       [-heap-nursery W] [-heap-tenured W] [-heap-tenure-age N] [-heap-limit W]
 //	       [-table 1|2|all] [-runs N] [-scale K] [-parallel N]
 //	       [-cell-timeout D] [-max-retries N] [-retry-seed S]
-//	       [-checkpoint FILE] [-resume]
 //	       [-cache-dir DIR] [-cache off|ro|rw] [-cache-verify N]
-//	       [-cache-max-mb MB] [-cellstats] [-trace FILE] [-metrics FILE]
+//	       [-cache-max-mb MB] [-trace FILE] [-metrics FILE]
 //
 // -engine selects the execution tier every measurement cell runs on;
 // the rendered tables and campaign rows are byte-identical across
@@ -38,26 +37,24 @@
 // Campaign profiles are fault-tolerant (see docs/robustness.md): a cell
 // that panics, times out (-cell-timeout) or exhausts its retries
 // (-max-retries) renders as a FAILED row and the process exits with
-// code 3 (partial) instead of aborting the matrix. -checkpoint journals
-// every finished cell's measurement to FILE; -resume replays finished
-// cells and measures only the rest, byte-identical to an uninterrupted
-// run. The paper tables keep their all-or-nothing contract — reference
-// tables with holes would be misleading — so -profile paper still fails
-// fast and rejects -checkpoint/-resume; -cell-timeout and -max-retries
-// apply everywhere.
+// code 3 (partial) instead of aborting the matrix. The paper tables keep
+// their all-or-nothing contract — reference tables with holes would be
+// misleading — so -profile paper still fails fast; -cell-timeout and
+// -max-retries apply everywhere.
 //
 // -cache-dir (default $JVMSIM_CACHE) points at the persistent
 // content-addressed result cache (see docs/caching.md): a warm rerun
 // serves every cell from disk, byte-identical to a cold one, and prints
-// a hits/misses stats trailer on stderr. Unlike -checkpoint it applies
-// to every profile, paper included — a hit replays a complete cell,
-// never a partial table. -cache-verify N re-executes a deterministic
-// 1-in-N sample of hits and fails loudly on any byte mismatch.
-// -cellstats appends host-side wall-time/allocation/source columns to
-// campaign rows; the telemetry is never part of cached payloads.
+// a hits/misses stats trailer on stderr. It applies to every profile,
+// paper included — a hit replays a complete cell, never a partial table
+// — and it is also how a killed run resumes: every finished cell is
+// stored as it completes, so rerunning on the same -cache-dir measures
+// only the rest. -cache-verify N re-executes a deterministic 1-in-N
+// sample of hits and fails loudly on any byte mismatch.
 //
-// -trace FILE writes a Chrome trace_event JSON timeline of the run and
-// -metrics FILE dumps the per-family metrics registry (see
+// -trace FILE writes a Chrome trace_event JSON timeline of the run, with
+// one span per cell carrying its host wall time, alloc_bytes and serving
+// source, and -metrics FILE dumps the per-family metrics registry (see
 // docs/observability.md). Both are host-side observability only: the
 // rendered tables and campaign rows stay byte-identical with telemetry
 // on or off.
@@ -73,7 +70,6 @@ import (
 	"os"
 
 	"repro/internal/agents/registry"
-	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/jit"
@@ -98,10 +94,7 @@ func main() {
 	agentList := registry.AddListFlag(flag.CommandLine, "none,spa,ipa")
 	parallel := runner.AddFlag(flag.CommandLine)
 	robust := runner.AddRobustFlags(flag.CommandLine)
-	checkpointPath := flag.String("checkpoint", "", "journal each finished cell's measurement to `file` (crash-resumable with -resume)")
-	resume := flag.Bool("resume", false, "with -checkpoint: replay finished cells from the journal instead of re-measuring them")
 	cacheFlags := resultcache.AddFlags(flag.CommandLine)
-	cellStats := flag.Bool("cellstats", false, "append host-side wall-time/alloc/source columns to campaign rows (telemetry only, never cached)")
 	telFlags := telemetry.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -132,15 +125,10 @@ func main() {
 	}
 	cfg.Cache = cache
 	cfg.CacheVerify = cacheFlags.VerifyN()
-	cfg.CellStats = *cellStats
 	tel := telFlags.Open()
 	sum := telemetry.NewSummary("tables", os.Stderr)
 	cfg.Telemetry = tel
 	cache.SetTelemetry(tel)
-	if *resume && *checkpointPath == "" {
-		fmt.Fprintln(os.Stderr, "tables: -resume requires -checkpoint")
-		os.Exit(harness.ExitUsage)
-	}
 
 	// Validate -agents up front regardless of mode, and reject it with
 	// the paper profile, whose tables are defined over the fixed
@@ -158,19 +146,6 @@ func main() {
 	})
 	if agentsSet && *profile == "paper" {
 		fatal(fmt.Errorf("-agents applies only to campaign profiles; the paper tables always measure none/spa/ipa"))
-	}
-	// The paper tables are all-or-nothing reference output: resuming a
-	// half-measured table would be indistinguishable from a complete one,
-	// so the journal applies only to campaign profiles. The result cache
-	// is safe there — a hit replays a complete cell, never a partial
-	// table — so -cache is the supported way to speed up paper reruns.
-	if *checkpointPath != "" && *profile == "paper" {
-		fatal(fmt.Errorf("-checkpoint/-resume apply only to campaign profiles; the paper tables are regenerated whole (use -cache-dir/-cache to reuse finished cell results instead)"))
-	}
-	// -cellstats columns attach to streamed campaign rows; the paper
-	// tables have the paper's fixed layout.
-	if *cellStats && *profile == "paper" {
-		fatal(fmt.Errorf("-cellstats applies only to campaign profiles; the paper tables keep the paper's layout"))
 	}
 	// The paper profile never includes loaded scenarios, so accepting the
 	// file there would silently measure nothing from it.
@@ -191,7 +166,7 @@ func main() {
 		if *table != "all" {
 			fatal(fmt.Errorf("-table applies only to -profile paper (got -profile %s)", *profile))
 		}
-		runCampaign(*profile, agents, cfg, *checkpointPath, *resume, telFlags, sum)
+		runCampaign(*profile, agents, cfg, telFlags, sum)
 		return
 	}
 
@@ -201,7 +176,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(rep.String())
-		finishCache(cache, sum)
+		cache.Finish(sum)
 		telFlags.Finish(tel, sum)
 		if !rep.OK() {
 			os.Exit(1)
@@ -225,7 +200,7 @@ func main() {
 		if err := harness.WriteMarkdown(os.Stdout, rows1, geo, rows2); err != nil {
 			fatal(err)
 		}
-		finishCache(cache, sum)
+		cache.Finish(sum)
 		telFlags.Finish(tel, sum)
 		return
 	}
@@ -260,21 +235,8 @@ func main() {
 	if *table != "1" && *table != "2" && *table != "all" {
 		fatal(fmt.Errorf("unknown -table %q (want 1, 2 or all)", *table))
 	}
-	finishCache(cache, sum)
+	cache.Finish(sum)
 	telFlags.Finish(tel, sum)
-}
-
-// finishCache runs the end-of-run cache work on every successful exit
-// path: the size-capped eviction pass, then the stats trailer on stderr
-// (stdout stays byte-identical whether the run was cold or warm).
-func finishCache(c *resultcache.Cache, sum *telemetry.Summary) {
-	if c == nil {
-		return
-	}
-	if err := c.Close(); err != nil {
-		sum.Error(err)
-	}
-	sum.Stat(c.Stats())
 }
 
 // runCampaign measures a non-paper profile: every profile scenario under
@@ -282,39 +244,23 @@ func finishCache(c *resultcache.Cache, sum *telemetry.Summary) {
 // finished cell, then the expected-value check verdict. Failed cells
 // render as FAILED rows and degrade the exit code to partial (3); check
 // failures exit fatal (1).
-func runCampaign(profile string, agents []string, cfg harness.Config, checkpointPath string, resume bool, telFlags *telemetry.Flags, sum *telemetry.Summary) {
+func runCampaign(profile string, agents []string, cfg harness.Config, telFlags *telemetry.Flags, sum *telemetry.Summary) {
 	scns, err := scenarios.Profile(profile)
 	if err != nil {
 		fatal(err)
 	}
 	camp := harness.Campaign{Scenarios: scns, Agents: agents, Config: cfg}
-	if checkpointPath != "" {
-		journal, err := checkpoint.OpenWithTelemetry(checkpointPath, resume, cfg.Telemetry)
-		if err != nil {
-			fatal(err)
-		}
-		defer journal.Close()
-		camp.Journal = journal
-	}
-	header := harness.CampaignHeader()
 	emit := func(r harness.CampaignRow) error {
 		_, err := fmt.Println(r)
 		return err
 	}
-	if cfg.CellStats {
-		header = harness.CampaignCellStatsHeader()
-		emit = func(r harness.CampaignRow) error {
-			_, err := fmt.Println(r.CellStatsString())
-			return err
-		}
-	}
 	fmt.Printf("campaign %s: %d scenarios x %d agents\n%s\n",
-		profile, len(scns), len(agents), header)
+		profile, len(scns), len(agents), harness.CampaignHeader())
 	res, err := camp.Run(context.Background(), emit)
 	if err != nil {
 		fatal(err)
 	}
-	finishCache(cfg.Cache, sum)
+	cfg.Cache.Finish(sum)
 	telFlags.Finish(cfg.Telemetry, sum)
 	fmt.Println()
 	fmt.Print(harness.RenderChecks(res.CheckFailures))

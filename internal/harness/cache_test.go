@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
 	"repro/internal/jit"
 	"repro/internal/resultcache"
 	"repro/internal/scenarios"
+	"repro/internal/telemetry"
 )
 
 // openTestCache opens a fresh rw cache under t's temp directory.
@@ -333,7 +334,7 @@ func TestCampaignCacheFailedRowsNeverCached(t *testing.T) {
 //
 // Every execution stores its payload exactly once, so Puts is the
 // ground-truth execution count: duplicates that executed would double
-// it. (Without a cache the dedup machinery is the same Memo, pinned
+// it. (Without a cache the dedup machinery is the same memo, pinned
 // directly by the resultcache unit tests; here only row equality is
 // observable.)
 func TestCampaignDedupExecutesOnce(t *testing.T) {
@@ -372,66 +373,97 @@ func TestCampaignDedupExecutesOnce(t *testing.T) {
 	}
 }
 
-// TestCampaignCellStats proves -cellstats telemetry is stamped on rows
-// when asked for, renders in the extended row form, and never perturbs
-// the cached payload: a warm run still matches the cold plain rendering.
+// TestCampaignCellStats proves the per-cell host stats reach -metrics and
+// -trace: each cell span carries its source and alloc_bytes, each family
+// gets one cell_wall_ns and one cell_alloc_bytes sample per cell, and
+// none of it perturbs the cached payload — a warm run, whose spans say
+// "cache", still matches the cold rendering byte for byte.
 func TestCampaignCellStats(t *testing.T) {
 	suite := robustScenarios(t)[:1]
 	dir := t.TempDir()
-	cfg := DefaultConfig()
-	cfg.Runs = 1
-	cfg.Scale = 8
-	cfg.CellStats = true
-	cfg.Cache = openTestCache(t, dir)
-	res, err := (Campaign{Scenarios: suite, Config: cfg}).Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(CampaignCellStatsHeader() + "\n")
-	for _, r := range res.Rows {
-		if r.M.Host.WallNanos <= 0 {
-			t.Fatalf("row %s/%s has no host wall time", r.Scenario.Name(), r.AgentName)
+	run := func() (*CampaignResult, *telemetry.Recorder) {
+		cfg := DefaultConfig()
+		cfg.Runs = 1
+		cfg.Scale = 8
+		cfg.Cache = openTestCache(t, dir)
+		cfg.Telemetry = telemetry.New(true)
+		res, err := (Campaign{Scenarios: suite, Config: cfg}).Run(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.M.Host.Source != "run" {
-			t.Fatalf("cold row source %q, want run", r.M.Host.Source)
-		}
-		buf.WriteString(r.CellStatsString() + "\n")
+		return res, cfg.Telemetry
 	}
-	if !strings.Contains(buf.String(), "run") || !strings.Contains(buf.String(), "wall(ms)") {
-		t.Fatalf("cellstats rendering missing columns:\n%s", buf.String())
+	// cellSpans returns the source arg of every cell span, checking each
+	// carries an alloc_bytes arg.
+	cellSpans := func(tel *telemetry.Recorder) []string {
+		var buf bytes.Buffer
+		if err := tel.WriteTrace(&buf, "test"); err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+			t.Fatal(err)
+		}
+		var sources []string
+		for _, ev := range trace.TraceEvents {
+			if ev.Name != "cell" {
+				continue
+			}
+			if _, ok := ev.Args["alloc_bytes"]; !ok {
+				t.Fatalf("cell span without alloc_bytes: %v", ev.Args)
+			}
+			sources = append(sources, fmt.Sprint(ev.Args["source"]))
+		}
+		return sources
+	}
+	checkHists := func(tel *telemetry.Recorder, cells int) {
+		d := tel.Metrics().Dump("test")
+		fd := d.Families[suite[0].Family]
+		for _, name := range []string{telemetry.MetricCellWallNanos, telemetry.MetricCellAllocBytes} {
+			if h, ok := fd.Histograms[name]; !ok || h.Count != uint64(cells) {
+				t.Fatalf("histogram %s has %+v, want %d samples", name, fd.Histograms[name], cells)
+			}
+		}
 	}
 
-	// Warm: sources flip to "cache", and the plain rendering (the
-	// byte-identity surface) is untouched by the telemetry.
-	cfg.Cache = openTestCache(t, dir)
-	warm, err := (Campaign{Scenarios: suite, Config: cfg}).Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range warm.Rows {
-		if r.M.Host.Source != "cache" {
-			t.Fatalf("warm row source %q, want cache", r.M.Host.Source)
+	cold, coldTel := run()
+	cells := len(cold.Rows)
+	for _, src := range cellSpans(coldTel) {
+		if src != "run" {
+			t.Fatalf("cold cell source %q, want run", src)
 		}
 	}
-	coldPlain, err := RenderCampaign(res)
+	checkHists(coldTel, cells)
+	if d := coldTel.Metrics().Dump("test"); d.Families[suite[0].Family].Histograms[telemetry.MetricCellAllocBytes].Sum <= 0 {
+		t.Fatal("executed cells recorded no allocation")
+	}
+
+	warm, warmTel := run()
+	sources := cellSpans(warmTel)
+	if len(sources) != cells {
+		t.Fatalf("%d warm cell spans, want %d", len(sources), cells)
+	}
+	for _, src := range sources {
+		if src != "cache" {
+			t.Fatalf("warm cell source %q, want cache", src)
+		}
+	}
+	checkHists(warmTel, cells)
+	coldText, err := RenderCampaign(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmPlain, err := RenderCampaign(warm)
+	warmText, err := RenderCampaign(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coldPlain != warmPlain {
-		t.Fatal("host telemetry leaked into the plain rendering")
-	}
-	// And the canonical payload excludes Host entirely.
-	raw, err := json.Marshal(res.Rows[0].M)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(raw), "wallNanos") {
-		t.Fatalf("Host leaked into the canonical Measurement payload: %s", raw)
+	if coldText != warmText {
+		t.Fatal("host telemetry leaked into the rendering")
 	}
 }
 

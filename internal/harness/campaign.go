@@ -2,13 +2,10 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/core"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/scenarios"
@@ -29,14 +26,6 @@ type Campaign struct {
 	Agents []string
 	// Config is the shared measurement configuration.
 	Config Config
-	// Journal, when non-nil, makes the campaign crash-resumable: each
-	// cell's Measurement is journaled under its content-addressed key as
-	// soon as the cell completes, and cells already present in the
-	// journal are served from it instead of re-running. Because the
-	// journaled payload is the exact Measurement (JSON round-trips it
-	// bit-for-bit), a resumed campaign's output is byte-identical to an
-	// uninterrupted run.
-	Journal *checkpoint.Journal
 }
 
 // DefaultAgents is the agent set a campaign uses when none is given: the
@@ -71,8 +60,8 @@ type CampaignResult struct {
 // Measurement: the scenario content, the agent, the effective VM options
 // (cost model, engine, heap after the scenario/flag precedence) and the
 // repetition parameters. Its checkpoint.CellKey is the content address
-// under which the cell journals, resumes, deduplicates and memoizes in
-// the persistent result cache: equal keys imply interchangeable
+// under which the cell deduplicates, memoizes in the persistent result
+// cache and so resumes after a crash: equal keys imply interchangeable
 // pure-function evaluations, so a hit skips simulation entirely.
 type CellIdentity struct {
 	scenarios.Identity
@@ -109,8 +98,8 @@ func cellKey(sc scenarios.Scenario, agent string, cfg Config) (string, error) {
 // Failure semantics follow Config.FailFast. In the graceful default, a
 // cell that still fails after isolation and retries becomes an error row
 // (CampaignRow.Err) and the campaign keeps going; Run returns an error
-// only for fatal conditions — context cancellation, a rejected emission,
-// or journal setup. With FailFast set, the first cell error aborts the
+// only for fatal conditions — context cancellation or a rejected
+// emission. With FailFast set, the first cell error aborts the
 // campaign and is returned, the pre-PR-7 contract the paper presets use.
 func (c Campaign) Run(ctx context.Context, emit func(CampaignRow) error) (*CampaignResult, error) {
 	cfg := c.Config.normalized()
@@ -124,11 +113,10 @@ func (c Campaign) Run(ctx context.Context, emit func(CampaignRow) error) (*Campa
 		agent string
 	}
 	var meta []cellMeta
-	// memo is the per-campaign dedup layer: identical cells (equal
+	// One resolver per campaign: its memo makes identical cells (equal
 	// content keys — overlapping sweeps, repeated scenario × agent pairs)
-	// execute exactly once per process, whether they arrive concurrently
-	// (singleflight) or in sequence (memoization).
-	memo := new(resultcache.Memo)
+	// execute exactly once per process.
+	resolver := &resultcache.Resolver{Cache: cfg.Cache, VerifyN: cfg.CacheVerify, Tel: cfg.Telemetry}
 	for _, sc := range c.Scenarios {
 		for _, agent := range agents {
 			sc, agent := sc, agent
@@ -140,7 +128,7 @@ func (c Campaign) Run(ctx context.Context, emit func(CampaignRow) error) (*Campa
 				Key:   sc.Name() + "/" + agent,
 				Group: sc.Family,
 				Do: func(ctx context.Context) (*Measurement, error) {
-					return c.runCell(ctx, sc, agent, key, cfg, memo)
+					return runCell(ctx, resolver, sc, agent, key, cfg)
 				},
 			})
 			meta = append(meta, cellMeta{sc: sc, agent: agent})
@@ -201,66 +189,22 @@ func (c Campaign) Run(ctx context.Context, emit func(CampaignRow) error) (*Campa
 	return res, nil
 }
 
-// runCell produces one cell's Measurement, cheapest source first:
-//
-//  1. the checkpoint journal (an explicit -resume replays it verbatim),
-//  2. the persistent result cache — a hit skips simulation entirely,
-//     except for the deterministic -cache-verify sample, which
-//     re-executes and fails loudly on any byte mismatch,
-//  3. memoized execution: identical in-campaign cells run once and
-//     share the canonical payload.
-//
-// Every consumer — leader, dedup follower, cache hit, journal replay —
-// decodes its Measurement from the same canonical JSON payload (the
-// checkpoint codec round-trips it bit-exactly), so the rendered output
-// is byte-identical no matter which source served the cell. Only
-// successful, complete payloads ever reach the cache: a failed attempt
-// (panic, timeout, injected fault, exhausted retries) returns before
-// Put, and retries re-enter this whole path so a transient failure can
-// never publish partial state. Host-side cost (wall time, allocated
-// bytes) is measured around whichever path ran and stamped on the
-// decoded Measurement — never on the cached payload.
-func (c Campaign) runCell(ctx context.Context, sc scenarios.Scenario, agent, key string,
-	cfg Config, memo *resultcache.Memo) (*Measurement, error) {
+// runCell resolves one cell's Measurement through resolver (cache,
+// memo, execution — see resultcache.Resolve), then reads the tier and
+// GC seams off the decoded payload into the per-family metrics. Cached
+// cells carry those seams too, so the dashboard sees the same tier mix
+// whether the cell ran or was served from disk.
+func runCell(ctx context.Context, resolver *resultcache.Resolver, sc scenarios.Scenario, agent, key string,
+	cfg Config) (*Measurement, error) {
+	cell := resultcache.Cell{Key: key, Name: sc.Name() + "/" + agent, Family: sc.Family}
+	m, err := resultcache.Resolve(ctx, resolver, cell, func(ctx context.Context) (*Measurement, error) {
+		return MeasureScenario(ctx, sc, agent, cfg)
+	})
 	tel := cfg.Telemetry
-	if tel == nil {
-		m, _, err := c.runCellFrom(ctx, sc, agent, key, cfg, memo)
+	if err != nil || tel == nil {
 		return m, err
 	}
-	ctx, span := tel.StartSpan(ctx, telemetry.CatCampaign, "cell")
-	if span != nil {
-		span.Arg("cell", sc.Name()+"/"+agent).Arg("family", sc.Family)
-	}
-	start := time.Now()
-	m, source, err := c.runCellFrom(ctx, sc, agent, key, cfg, memo)
 	fam := sc.Family
-	tel.Observe(fam, telemetry.MetricCellWallNanos, float64(time.Since(start).Nanoseconds()))
-	if span != nil {
-		if source != "" {
-			span.Arg("source", source)
-		}
-		span.End()
-	}
-	if err != nil || m == nil {
-		return m, err
-	}
-	// Attribute the serving source per family (the cache itself only
-	// counts process-wide), and read the tier/GC seams off the decoded
-	// payload — cached and journaled cells carry them too, so the
-	// dashboard sees the same tier mix whether the cell ran or was
-	// served from disk.
-	switch source {
-	case "cache":
-		tel.Count(fam, telemetry.MetricCacheHits, 1)
-	case "journal":
-		tel.Count(fam, telemetry.MetricJournalHits, 1)
-	case "dedup":
-		tel.Count(fam, telemetry.MetricDedupHits, 1)
-	case "verify":
-		tel.Count(fam, telemetry.MetricVerified, 1)
-	default:
-		tel.Count(fam, telemetry.MetricRuns, 1)
-	}
 	tel.Count(fam, telemetry.MetricTierCompiled, m.Tier.MethodsCompiled)
 	tel.Count(fam, telemetry.MetricTierOSR, m.Tier.OSREntries)
 	tel.Count(fam, telemetry.MetricTierDeopts, m.Tier.DeoptFrames)
@@ -274,116 +218,6 @@ func (c Campaign) runCell(ctx context.Context, sc scenarios.Scenario, agent, key
 		tel.Observe(fam, telemetry.MetricGCPauseCycles, float64(m.GC.GCCycles))
 	}
 	return m, nil
-}
-
-// runCellFrom is runCell's source-tracking core; the returned source
-// names which layer served the cell ("journal", "cache", "verify",
-// "dedup" or "run") and is meaningful only on success.
-func (c Campaign) runCellFrom(ctx context.Context, sc scenarios.Scenario, agent, key string,
-	cfg Config, memo *resultcache.Memo) (*Measurement, string, error) {
-	var doneHost func(string) core.HostStats
-	if cfg.CellStats {
-		doneHost = core.StartHostMeasure()
-	}
-	decode := func(raw json.RawMessage, source string) (*Measurement, error) {
-		m := new(Measurement)
-		if err := json.Unmarshal(raw, m); err != nil {
-			return nil, fmt.Errorf("harness: corrupt %s payload for %s/%s: %w", source, sc.Name(), agent, err)
-		}
-		if doneHost != nil {
-			m.Host = doneHost(source)
-		}
-		return m, nil
-	}
-	execute := func() (json.RawMessage, error) {
-		m, err := MeasureScenario(ctx, sc, agent, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return checkpoint.CanonicalPayload(m)
-	}
-	journal := func(raw json.RawMessage) error {
-		if c.Journal == nil {
-			return nil
-		}
-		// Journal I/O is environmental, not a property of the cell — mark
-		// it transient so retries can ride out a briefly unwritable
-		// checkpoint file.
-		if err := c.Journal.Append(key, raw); err != nil {
-			return runner.Transient(err)
-		}
-		return nil
-	}
-
-	if c.Journal != nil {
-		if raw, ok := c.Journal.Lookup(key); ok {
-			m, err := decode(raw, "journal")
-			return m, "journal", err
-		}
-	}
-
-	cache := cfg.Cache
-	if raw, ok := cache.Get(key); ok {
-		if resultcache.VerifySample(key, cfg.CacheVerify) {
-			fresh, err := execute()
-			if err != nil {
-				return nil, "", err
-			}
-			if err := cache.Verify(key, raw, fresh); err != nil {
-				return nil, "", err
-			}
-			if err := journal(fresh); err != nil {
-				return nil, "", err
-			}
-			m, err := decode(fresh, "verify")
-			return m, "verify", err
-		}
-		if m, err := decode(raw, "cache"); err == nil {
-			if err := journal(raw); err != nil {
-				return nil, "", err
-			}
-			return m, "cache", nil
-		}
-		// A well-formed record wrapping an undecodable Measurement is
-		// corruption like any other: fall through to execution as a miss.
-	}
-
-	raw, shared, err := memo.Do(key, func() (json.RawMessage, error) {
-		raw, err := execute()
-		if err != nil {
-			return nil, err
-		}
-		// Cache I/O is environmental, like journal I/O: transient, so a
-		// briefly unwritable cache directory spends retries instead of
-		// failing the measurement outright.
-		if err := cache.Put(key, raw); err != nil {
-			return nil, runner.Transient(err)
-		}
-		return raw, nil
-	})
-	if shared && err != nil {
-		// The identical in-flight cell failed; its error belongs to it,
-		// not to us — run our own attempt so per-cell fault injection and
-		// retry accounting stay cell-local.
-		raw, err = execute()
-		if err == nil {
-			err = cache.Put(key, raw)
-		}
-		shared = false
-	}
-	if err != nil {
-		return nil, "", err
-	}
-	source := "run"
-	if shared {
-		cache.AddDeduped(1)
-		source = "dedup"
-	}
-	if err := journal(raw); err != nil {
-		return nil, "", err
-	}
-	m, err := decode(raw, source)
-	return m, source, err
 }
 
 // EvaluateChecks applies a scenario's expected-value checks to the
@@ -505,31 +339,6 @@ func (r CampaignRow) String() string {
 		m.MedianCycles, m.MedianThroughput, nativePct,
 		m.Truth.NativeMethodCalls, m.Truth.JNICalls,
 		m.GC.MinorGCs, m.GC.MajorGCs)
-}
-
-// CampaignCellStatsHeader is CampaignHeader extended with the opt-in
-// -cellstats columns: host-side wall time, Go-heap allocation and the
-// source that served the cell (run, cache, verify, journal, dedup).
-// These are simulator telemetry, not simulated values, and vary run to
-// run — which is why they live behind the flag instead of in the
-// byte-identical default layout.
-func CampaignCellStatsHeader() string {
-	return fmt.Sprintf("%s %10s %11s %8s", CampaignHeader(), "wall(ms)", "alloc(KB)", "source")
-}
-
-// CellStatsString renders the row with the -cellstats columns appended.
-// Failed rows keep their FAILED form unchanged — there is no meaningful
-// host cost to report for an error row.
-func (r CampaignRow) CellStatsString() string {
-	if r.Err != nil || r.M == nil {
-		return r.String()
-	}
-	src := r.M.Host.Source
-	if src == "" {
-		src = "run"
-	}
-	return fmt.Sprintf("%s %10.3f %11.1f %8s", r.String(),
-		float64(r.M.Host.WallNanos)/1e6, float64(r.M.Host.AllocBytes)/1024, src)
 }
 
 // errorLine flattens err to a single report line: a cell failure's cause

@@ -137,15 +137,10 @@ type Config struct {
 	// stable across runs and parallelism) and fails the cell loudly if
 	// the fresh canonical payload differs from the cached bytes.
 	CacheVerify int
-	// CellStats stamps each cell's Measurement.Host with the host-side
-	// cost of producing it (-cellstats on the CLIs). Off by default so
-	// the run-varying telemetry never leaks into row comparisons or
-	// byte-identity goldens.
-	CellStats bool
 	// Telemetry, when non-nil, records campaign/cell/repetition spans
-	// and per-family metrics (wall time, cache sources, tier and GC
-	// counters read from each Measurement's jit.Stats/vm.GCStats seams).
-	// Like Host, everything it collects is host-side bookkeeping stamped
+	// and per-family metrics (wall time, allocation, cache sources, tier
+	// and GC counters read from each Measurement's jit.Stats/vm.GCStats
+	// seams). Everything it collects is host-side bookkeeping stamped
 	// outside the canonical payloads: output is byte-identical with
 	// telemetry on or off. Nil (the default) costs one comparison per
 	// cell.
@@ -223,14 +218,6 @@ type Measurement struct {
 	// tests can assert that promotion, deopt and invalidation actually
 	// happened under -engine=jit/auto.
 	Tier jit.Stats
-	// Host is the host-side cost of producing this measurement (wall
-	// time, Go-heap allocation, and whether it came from execution, the
-	// cache, the journal or an in-process dedup). Excluded from the
-	// canonical JSON payload — and therefore from every byte-identity
-	// golden — because it varies run to run; campaigns stamp it fresh on
-	// every cell, including cached hits (which report their own
-	// near-zero cost). Rendered only behind -cellstats.
-	Host core.HostStats `json:"-"`
 }
 
 // Measure runs one benchmark under one agent configuration cfg.Runs times

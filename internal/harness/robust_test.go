@@ -3,17 +3,16 @@ package harness
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/jit"
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/scenarios"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -164,35 +163,31 @@ func TestCampaignFailFastPreserved(t *testing.T) {
 	}
 }
 
-// runJournaled runs the campaign against the journal at path and returns
-// the rendered output.
-func runJournaled(t *testing.T, camp Campaign, path string, resume bool) (string, *checkpoint.Journal, error) {
+// runCachedText runs the campaign against a fresh handle on the cache
+// directory dir and returns the rendered output with the handle.
+func runCachedText(ctx context.Context, t *testing.T, camp Campaign, dir string) (string, *resultcache.Cache, error) {
 	t.Helper()
-	j, err := checkpoint.Open(path, resume)
+	camp.Config.Cache = openTestCache(t, dir)
+	res, err := camp.Run(ctx, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	camp.Journal = j
-	res, err := camp.Run(context.Background(), nil)
-	if err != nil {
-		return "", j, err
+		return "", camp.Config.Cache, err
 	}
 	out, err := RenderCampaign(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, j, nil
+	return out, camp.Config.Cache, nil
 }
 
 // TestCampaignCrashResumeByteIdentical is the in-process kill-and-resume
 // proof at scale 8: a campaign killed between cells by the crash
-// injector resumes from its journal and renders byte-identical output to
-// an uninterrupted run — for sequential and parallel execution, under
-// every engine (interp, jit, auto).
+// injector resumes by rerunning on its cache directory and renders
+// byte-identical output to an uninterrupted run — for sequential and
+// parallel execution, under every engine (interp, jit, auto).
 func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 	// More cells than the widest worker pool below: when the crash fires,
-	// in-flight cells may still complete and journal, so only a matrix
-	// larger than parallelism + crash point guarantees unjournaled cells
+	// in-flight cells may still complete and be stored, so only a matrix
+	// larger than parallelism + crash point guarantees unstored cells
 	// remain for the resume to prove itself on.
 	full, err := scenarios.Profile("paper")
 	if err != nil {
@@ -215,7 +210,7 @@ func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 				}
 				camp := Campaign{Scenarios: suite, Agents: []string{"none", "ipa"}, Config: cfg}
 
-				// Uninterrupted baseline, no journal.
+				// Uninterrupted baseline, no cache.
 				base, err := camp.Run(context.Background(), nil)
 				if err != nil {
 					t.Fatal(err)
@@ -227,88 +222,82 @@ func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 
 				// Crash run: the injector "kills the process" after 2 cells by
 				// cancelling the campaign context — the in-process stand-in for
-				// os.Exit, leaving the journal exactly as a dead process would.
-				path := filepath.Join(t.TempDir(), "journal.jsonl")
+				// os.Exit, leaving the cache exactly as a dead process would.
+				dir := t.TempDir()
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				old := faultinject.CrashFunc
 				faultinject.CrashFunc = cancel
-				crashCfg := cfg
-				crashCfg.Hook = faultinject.New(1, faultinject.Fault{Kind: faultinject.Crash, After: 2}).Hook()
-				j, err := checkpoint.Open(path, false)
-				if err != nil {
-					t.Fatal(err)
-				}
 				crashCamp := camp
-				crashCamp.Config = crashCfg
-				crashCamp.Journal = j
-				if _, err := crashCamp.Run(ctx, nil); err == nil {
+				crashCamp.Config.Hook = faultinject.New(1, faultinject.Fault{Kind: faultinject.Crash, After: 2}).Hook()
+				if _, _, err := runCachedText(ctx, t, crashCamp, dir); err == nil {
 					t.Fatal("crashed campaign reported success")
 				}
-				j.Close()
 				faultinject.CrashFunc = old
 
-				interrupted, err := checkpoint.Open(path, true)
+				stored, _, err := openTestCache(t, dir).Len()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if interrupted.Len() < 2 {
-					t.Fatalf("journal holds %d cells after crash, want ≥2", interrupted.Len())
+				if stored < 2 {
+					t.Fatalf("cache holds %d cells after crash, want ≥2", stored)
 				}
-				if interrupted.Len() >= len(suite)*2 {
-					t.Fatalf("journal holds all %d cells — crash fired too late to prove resume", interrupted.Len())
+				if stored >= len(suite)*2 {
+					t.Fatalf("cache holds all %d cells — crash fired too late to prove resume", stored)
 				}
-				interrupted.Close()
 
-				// Resume: same campaign, same journal, no faults.
-				got, j2, err := runJournaled(t, camp, path, true)
+				// Resume: same campaign, same cache directory, no faults.
+				got, cache, err := runCachedText(context.Background(), t, camp, dir)
 				if err != nil {
 					t.Fatalf("resume failed: %v", err)
 				}
-				defer j2.Close()
 				if got != want {
 					t.Errorf("resumed output differs from uninterrupted run\n--- want ---\n%s--- got ---\n%s", want, got)
+				}
+				if s := cache.Stats(); s.Hits != uint64(stored) || s.Puts != uint64(len(suite)*2-stored) {
+					t.Errorf("resume stats %+v, want %d hits and %d puts", s, stored, len(suite)*2-stored)
 				}
 			})
 		}
 	}
 }
 
-// TestCampaignResumeServesFromJournal proves a second run over a complete
-// journal re-runs nothing: the journal file does not grow (every cell hit
-// Lookup, none re-measured and re-appended) and output is byte-identical.
-func TestCampaignResumeServesFromJournal(t *testing.T) {
+// TestCampaignResumeServesFromCache proves a rerun over a complete cache
+// re-runs nothing: it adds 0 puts and executes 0 cells (every cell is a
+// hit, by the per-family source counters) and its output is
+// byte-identical.
+func TestCampaignResumeServesFromCache(t *testing.T) {
 	suite := robustScenarios(t)
 	cfg := DefaultConfig()
 	cfg.Scale = 8
 	cfg.Runs = 1
 	camp := Campaign{Scenarios: suite, Agents: []string{"none"}, Config: cfg}
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	dir := t.TempDir()
 
-	first, j1, err := runJournaled(t, camp, path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1.Close()
-	before, err := os.Stat(path)
+	first, _, err := runCachedText(context.Background(), t, camp, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	second, j2, err := runJournaled(t, camp, path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	after, err := os.Stat(path)
+	tel := telemetry.New(false)
+	camp.Config.Telemetry = tel
+	second, cache, err := runCachedText(context.Background(), t, camp, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second != first {
-		t.Error("journal-served output differs from measured output")
+		t.Error("cache-served output differs from measured output")
 	}
-	if after.Size() != before.Size() {
-		t.Errorf("journal grew %d → %d bytes on resume — cells were re-run", before.Size(), after.Size())
+	if s := cache.Stats(); s.Puts != 0 || s.Hits != uint64(len(suite)) {
+		t.Errorf("rerun stats %+v, want 0 puts and %d hits — cells were re-run", s, len(suite))
+	}
+	var runs, hits uint64
+	for _, fam := range scenarios.Families() {
+		runs += tel.Metrics().Counter(fam, telemetry.MetricRuns)
+		hits += tel.Metrics().Counter(fam, telemetry.MetricCacheHits)
+	}
+	if runs != 0 || hits != uint64(len(suite)) {
+		t.Errorf("rerun counted %d runs and %d cache hits, want 0 and %d", runs, hits, len(suite))
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package resultcache is the persistent, content-addressed memoization
-// store for measurement cells. Every cell of a campaign is a pure,
+// store for measurement cells, and the one resolver (Resolve) through
+// which every CLI serves them. Every cell of a campaign is a pure,
 // deterministic function of its content-addressed identity (the
 // checkpoint.CellKey over scenario content × agent × engine × effective
 // options × heap spec × scale/runs/warmup), so any two invocations with
@@ -14,11 +15,12 @@
 //	<dir>/ab/<64 hex>    one entry per cell key, sharded by the key's
 //	                     first two hex digits
 //
-// Each entry holds one JSON object {"key": <hex>, "payload": <raw>} —
-// the same record codec the checkpoint journal appends — written to a
-// temp file and renamed into place, so concurrent writers (two processes
-// sharing a cache directory) can never expose a torn entry. Reads treat
-// any unreadable, truncated or key-mismatched entry as a miss, never a
+// Each entry holds one JSON object {"key": <hex>, "payload": <raw>},
+// written to a temp file and renamed into place, so concurrent writers
+// (two processes sharing a cache directory) can never expose a torn
+// entry, and a killed run leaves every finished cell stored: rerunning
+// on the same directory is how a campaign resumes. Reads treat any
+// unreadable, truncated or key-mismatched entry as a miss, never a
 // crash: a corrupted cache costs re-execution, not correctness.
 //
 // Eviction is a size-capped LRU pass over entry mtimes (Get touches its
@@ -27,15 +29,12 @@
 package resultcache
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,6 +49,11 @@ const LayoutVersion = "jvmsim-resultcache-v1"
 
 // versionFile is the stamp's file name inside the cache directory.
 const versionFile = "VERSION"
+
+// TempPrefix starts the name of every in-flight Put temp file in the
+// cache root. A process killed between CreateTemp and Rename leaves one
+// behind; Orphans lists them for the doctor's census.
+const TempPrefix = ".put-"
 
 // Mode selects how a cache participates in a run.
 type Mode int
@@ -114,6 +118,20 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Deduped, s.Evictions, s.Verified, s.HitRate())
 }
 
+// Finish is the CLIs' end-of-run cache work: the size-capped eviction
+// pass, then the stats trailer on stderr through sum (stdout stays
+// byte-identical whether the run was cold or warm). A nil cache prints
+// nothing.
+func (c *Cache) Finish(sum *telemetry.Summary) {
+	if c == nil {
+		return
+	}
+	if err := c.Close(); err != nil {
+		sum.Error(err)
+	}
+	sum.Stat(c.Stats())
+}
+
 // Cache is a persistent content-addressed result store rooted at one
 // directory. All methods are safe for concurrent use, nil-safe (a nil
 // *Cache behaves as ModeOff: every Get misses without counting, every
@@ -139,8 +157,7 @@ type Cache struct {
 	tel *telemetry.Recorder
 }
 
-// record is one entry file's content — the checkpoint journal's record
-// shape, reused so the two stores speak one codec.
+// record is one entry file's content.
 type record struct {
 	Key     string          `json:"key"`
 	Payload json.RawMessage `json:"payload"`
@@ -283,7 +300,7 @@ func (c *Cache) Put(key string, payload json.RawMessage) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, ".put-*")
+	tmp, err := os.CreateTemp(c.dir, TempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
@@ -309,18 +326,18 @@ func (c *Cache) Put(key string, payload json.RawMessage) error {
 	return nil
 }
 
-// AddDeduped counts singleflight/memo dedups into the cache's stats
-// trailer; the dedup machinery itself lives in Group. Nil-safe so dedup
+// addDeduped counts singleflight/memo dedups into the cache's stats
+// trailer; the dedup machinery itself lives in memo. Nil-safe so dedup
 // still works (uncounted) with the cache off.
-func (c *Cache) AddDeduped(n uint64) {
+func (c *Cache) addDeduped(n uint64) {
 	if c != nil {
 		c.deduped.Add(n)
 		c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheDeduped, n)
 	}
 }
 
-// AddVerified counts -cache-verify re-executions that matched.
-func (c *Cache) AddVerified(n uint64) {
+// addVerified counts -cache-verify re-executions that matched.
+func (c *Cache) addVerified(n uint64) {
 	if c != nil {
 		c.verified.Add(n)
 		c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheVerified, n)
@@ -350,7 +367,7 @@ type entryInfo struct {
 }
 
 // walkEntries lists every entry file (shard depth only, never the
-// version stamp or in-flight temp files).
+// version stamp or in-flight temp files — see Orphans for those).
 func (c *Cache) walkEntries() ([]entryInfo, error) {
 	var out []entryInfo
 	shards, err := os.ReadDir(c.dir)
@@ -440,120 +457,33 @@ func (c *Cache) Len() (count int, bytes int64, err error) {
 	return len(entries), bytes, nil
 }
 
+// Orphans counts the temp files Put left in the cache root of dir and
+// their summed size: each is a write whose process died between creating
+// the temp file and renaming it into its shard. They hold no entry — the
+// cell re-runs and stores itself — and Len, eviction and -cache-max-mb
+// never count them, so only this census sees the space they take.
+// Deleting them is safe whenever no process is writing to the cache.
+func Orphans(dir string) (count int, bytes int64, err error) {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, 0, fmt.Errorf("resultcache: %w", err)
+	}
+	for _, f := range files {
+		if f.IsDir() || !strings.HasPrefix(f.Name(), TempPrefix) {
+			continue
+		}
+		count++
+		if info, err := f.Info(); err == nil {
+			bytes += info.Size()
+		}
+	}
+	return count, bytes, nil
+}
+
 // Close runs the eviction pass (when a cap is set). The cache holds no
 // file handles between calls, so Close is about shrinking to cap, not
 // releasing resources.
 func (c *Cache) Close() error {
 	_, err := c.Evict()
 	return err
-}
-
-// VerifyError is the loud failure of a -cache-verify re-execution: the
-// cached payload and the fresh execution's canonical bytes differ, which
-// means either the store was tampered with or a supposedly deterministic
-// cell is not. It is never swallowed into a miss.
-type VerifyError struct {
-	Key    string
-	Cached json.RawMessage
-	Fresh  json.RawMessage
-}
-
-// Error renders the mismatch with both payload sizes; the payloads
-// themselves can be large, so the message carries lengths, not bodies.
-func (e *VerifyError) Error() string {
-	return fmt.Sprintf("resultcache: verify mismatch for %s: cached payload (%d bytes) != re-executed payload (%d bytes); the cache entry is wrong or the cell is nondeterministic — delete the cache directory and re-run",
-		e.Key, len(e.Cached), len(e.Fresh))
-}
-
-// VerifySample reports whether a hit on key falls in the deterministic
-// 1-in-n verification sample: the FNV-64a hash of the key modulo n.
-// Sampling by key (not by arrival order) makes the sample identical
-// across runs, parallelism levels and engines. n <= 0 disables, n == 1
-// verifies every hit.
-func VerifySample(key string, n int) bool {
-	if n <= 0 {
-		return false
-	}
-	if n == 1 {
-		return true
-	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()%uint64(n) == 0
-}
-
-// Verify compares a cached payload against a fresh canonical encoding,
-// counting a match and returning a *VerifyError on mismatch.
-func (c *Cache) Verify(key string, cached, fresh json.RawMessage) error {
-	if !bytes.Equal(cached, fresh) {
-		return &VerifyError{Key: key, Cached: cached, Fresh: fresh}
-	}
-	c.AddVerified(1)
-	return nil
-}
-
-// Memo is the per-process dedup layer: the first Do for a key runs fn
-// exactly once; concurrent callers with the same key wait for that
-// in-flight execution (singleflight), and later callers are served from
-// the completed result without re-running — so identical cells appearing
-// more than once in one campaign (overlapping sweeps, duplicated
-// scenario × agent pairs) execute exactly once per process whether they
-// arrive together or in sequence.
-//
-// Failures are never memoized: a leader's error is returned to every
-// waiter of that flight, the key is forgotten, and the next Do runs fn
-// again — one attempt's transient failure (an injected fault, a briefly
-// unwritable journal) must not poison an identical later cell.
-type Memo struct {
-	mu sync.Mutex
-	m  map[string]*flight
-}
-
-// flight is one in-flight or completed execution.
-type flight struct {
-	done    chan struct{}
-	payload json.RawMessage
-	err     error
-}
-
-// Do runs fn once per key. The returned payload is the canonical JSON
-// produced by fn; shared reports whether this call was served by another
-// execution (waited on it or read its memoized result) rather than
-// running fn itself. Callers must treat a shared payload as read-only
-// and decode their own copy.
-func (g *Memo) Do(key string, fn func() (json.RawMessage, error)) (payload json.RawMessage, shared bool, err error) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flight)
-	}
-	if f, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		<-f.done
-		return f.payload, true, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	g.m[key] = f
-	g.mu.Unlock()
-
-	completed := false
-	defer func() {
-		// A panicking fn (a simulated-VM trap escaping a cell) must not
-		// strand waiters on a never-closed channel: publish an error,
-		// forget the flight, and let the panic propagate to the runner's
-		// isolation layer. Waiters re-execute on their own.
-		if !completed {
-			f.err = fmt.Errorf("resultcache: deduplicated execution for %s panicked", key)
-		}
-		if f.err != nil {
-			// Forget failed flights before waking waiters: an identical
-			// later cell deserves its own attempt.
-			g.mu.Lock()
-			delete(g.m, key)
-			g.mu.Unlock()
-		}
-		close(f.done)
-	}()
-	f.payload, f.err = fn()
-	completed = true
-	return f.payload, false, f.err
 }

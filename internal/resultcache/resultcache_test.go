@@ -276,8 +276,8 @@ func TestNilCacheIsOff(t *testing.T) {
 	if err := c.Put("k", json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	c.AddDeduped(1)
-	c.AddVerified(1)
+	c.addDeduped(1)
+	c.addVerified(1)
 	if _, err := c.Evict(); err != nil {
 		t.Fatal(err)
 	}
@@ -294,16 +294,16 @@ func TestNilCacheIsOff(t *testing.T) {
 
 func TestVerifySampleDeterministic(t *testing.T) {
 	key := testKey(t, "sample")
-	if VerifySample(key, 0) {
+	if verifySample(key, 0) {
 		t.Fatal("n=0 sampled")
 	}
-	if !VerifySample(key, 1) {
+	if !verifySample(key, 1) {
 		t.Fatal("n=1 skipped")
 	}
 	for _, n := range []int{2, 7, 100} {
-		first := VerifySample(key, n)
+		first := verifySample(key, n)
 		for i := 0; i < 5; i++ {
-			if VerifySample(key, n) != first {
+			if verifySample(key, n) != first {
 				t.Fatalf("n=%d sample decision changed between calls", n)
 			}
 		}
@@ -311,7 +311,7 @@ func TestVerifySampleDeterministic(t *testing.T) {
 	// Over many keys, a 1-in-2 sample must select some and skip some.
 	selected := 0
 	for i := 0; i < 64; i++ {
-		if VerifySample(testKey(t, i), 2) {
+		if verifySample(testKey(t, i), 2) {
 			selected++
 		}
 	}
@@ -326,10 +326,10 @@ func TestVerifyMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey(t, "verify")
-	if err := c.Verify(key, json.RawMessage(`1`), json.RawMessage(`1`)); err != nil {
+	if err := c.verify(key, json.RawMessage(`1`), json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	err = c.Verify(key, json.RawMessage(`1`), json.RawMessage(`2`))
+	err = c.verify(key, json.RawMessage(`1`), json.RawMessage(`2`))
 	var ve *VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("mismatch returned %v, want *VerifyError", err)
@@ -343,7 +343,7 @@ func TestVerifyMismatch(t *testing.T) {
 }
 
 func TestMemoSingleflight(t *testing.T) {
-	m := new(Memo)
+	m := new(memo)
 	var executions atomic.Int64
 	var wg sync.WaitGroup
 	release := make(chan struct{})
@@ -352,7 +352,7 @@ func TestMemoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			payload, shared, err := m.Do("k", func() (json.RawMessage, error) {
+			payload, shared, err := m.do("k", func() (json.RawMessage, error) {
 				<-release // hold the flight open until all callers queued
 				executions.Add(1)
 				return json.RawMessage(`"once"`), nil
@@ -379,7 +379,7 @@ func TestMemoSingleflight(t *testing.T) {
 		t.Fatalf("%d callers shared, want 7", got)
 	}
 	// Sequential callers are served from the memoized flight.
-	_, shared, err := m.Do("k", func() (json.RawMessage, error) {
+	_, shared, err := m.do("k", func() (json.RawMessage, error) {
 		t.Fatal("memoized key re-executed")
 		return nil, nil
 	})
@@ -389,12 +389,12 @@ func TestMemoSingleflight(t *testing.T) {
 }
 
 func TestMemoErrorNotMemoized(t *testing.T) {
-	m := new(Memo)
+	m := new(memo)
 	boom := errors.New("injected")
-	if _, shared, err := m.Do("k", func() (json.RawMessage, error) { return nil, boom }); !errors.Is(err, boom) || shared {
+	if _, shared, err := m.do("k", func() (json.RawMessage, error) { return nil, boom }); !errors.Is(err, boom) || shared {
 		t.Fatalf("first call shared=%v err=%v", shared, err)
 	}
-	payload, shared, err := m.Do("k", func() (json.RawMessage, error) { return json.RawMessage(`2`), nil })
+	payload, shared, err := m.do("k", func() (json.RawMessage, error) { return json.RawMessage(`2`), nil })
 	if err != nil || shared || string(payload) != `2` {
 		t.Fatalf("retry after error: payload=%s shared=%v err=%v", payload, shared, err)
 	}
@@ -404,7 +404,7 @@ func TestMemoErrorNotMemoized(t *testing.T) {
 // execution propagates to its own caller, while waiters receive an error
 // (never a hang) and the key is forgotten for the next attempt.
 func TestMemoPanicReleasesWaiters(t *testing.T) {
-	m := new(Memo)
+	m := new(memo)
 	entered := make(chan struct{})
 	joined := make(chan struct{})
 	release := make(chan struct{})
@@ -412,7 +412,7 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 	go func() {
 		<-entered
 		close(joined)
-		_, shared, err := m.Do("k", func() (json.RawMessage, error) {
+		_, shared, err := m.do("k", func() (json.RawMessage, error) {
 			t.Error("waiter executed while a flight was in progress")
 			return nil, nil
 		})
@@ -434,7 +434,7 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 				t.Error("panic did not propagate to the executing caller")
 			}
 		}()
-		m.Do("k", func() (json.RawMessage, error) {
+		m.do("k", func() (json.RawMessage, error) {
 			close(entered)
 			<-release
 			panic("cell trap")
@@ -449,7 +449,7 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 		t.Fatal("waiter hung on a panicked flight")
 	}
 	// The key is free again.
-	payload, shared, err := m.Do("k", func() (json.RawMessage, error) { return json.RawMessage(`3`), nil })
+	payload, shared, err := m.do("k", func() (json.RawMessage, error) { return json.RawMessage(`3`), nil })
 	if err != nil || shared || string(payload) != `3` {
 		t.Fatalf("post-panic attempt: payload=%s shared=%v err=%v", payload, shared, err)
 	}

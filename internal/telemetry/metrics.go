@@ -4,11 +4,11 @@ package telemetry
 // uses these constants so the -metrics dump, the stderr digest and the
 // benchtrend dashboard agree on spelling.
 const (
-	// Per-family counters recorded by the harness and runner.
+	// Per-family counters recorded by the CLIs, the cell resolver and
+	// the runner.
 	MetricCells        = "cells"         // cells completed (any source)
 	MetricCellsFailed  = "cells_failed"  // cells that ended in error
 	MetricCacheHits    = "cache_hits"    // cells served from the result cache
-	MetricJournalHits  = "journal_hits"  // cells served from the checkpoint journal
 	MetricDedupHits    = "dedup_hits"    // cells served from in-process memoization
 	MetricRuns         = "runs"          // cells actually executed
 	MetricVerified     = "verified"      // cache hits re-executed and byte-compared
@@ -39,20 +39,19 @@ const (
 	MetricSearchRejected   = "search_rejected"   // candidates rejected by validation
 
 	// Per-family histograms.
-	MetricCellWallNanos = "cell_wall_ns"    // host wall time per cell
-	MetricQueueWaitNs   = "queue_wait_ns"   // runner submit-to-start wait
-	MetricGCPauseCycles = "gc_pause_cycles" // simulated GC cycles per cell
+	MetricCellWallNanos  = "cell_wall_ns"     // host wall time per cell
+	MetricCellAllocBytes = "cell_alloc_bytes" // Go-heap bytes allocated per cell (process-wide delta)
+	MetricQueueWaitNs    = "queue_wait_ns"    // runner submit-to-start wait
+	MetricGCPauseCycles  = "gc_pause_cycles"  // simulated GC cycles per cell
 
 	// Process-family counters (under ProcessFamily) recorded by the
-	// result cache and checkpoint journal, which do not know families.
+	// result cache, which does not know families.
 	MetricProcCacheHits     = "cache_hits"
 	MetricProcCacheMisses   = "cache_misses"
 	MetricProcCachePuts     = "cache_puts"
 	MetricProcCacheDeduped  = "cache_deduped"
 	MetricProcCacheEvicted  = "cache_evicted"
 	MetricProcCacheVerified = "cache_verified"
-	MetricProcJournalReplay = "journal_replayed"
-	MetricProcJournalAppend = "journal_appended"
 )
 
 // Trace span categories, one per layer, so Perfetto can filter by
@@ -61,6 +60,5 @@ const (
 	CatCampaign = "campaign" // harness: whole campaign + per-cell work
 	CatRunner   = "runner"   // runner: attempts, retries, timeouts
 	CatCache    = "cache"    // result cache events
-	CatJournal  = "journal"  // checkpoint journal replay/append
 	CatMeasure  = "measure"  // harness: per-repetition measurement spans
 )
