@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	jprof [-agent spa|ipa|chains|sampler|bic|aprof|none] [-engine interp|jit|auto]
+//	jprof [-agent spa|ipa|chains|sampler|bic|aprof|none] [-engine interp|jit]
 //	      [-scenario FILE] [-heap-nursery W] [-heap-tenured W] [-heap-tenure-age N]
 //	      [-heap-limit W] [-scale K] [-parallel N] [-tierstats] [-list]
-//	      [-cell-timeout D] [-max-retries N] [-retry-seed S]
+//	      [-cell-timeout D] [-max-retries N]
 //	      [-cache-dir DIR] [-cache off|ro|rw] [-cache-verify N]
 //	      [-cache-max-mb MB] [-trace FILE] [-metrics FILE]
 //	      <scenario|family>... | all
@@ -54,38 +54,26 @@ import (
 	"repro/internal/agents/ipa"
 	"repro/internal/agents/registry"
 	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/harness"
-	"repro/internal/jit"
-	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/scenarios"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
 func main() {
 	agentName := registry.AddFlag(flag.CommandLine, "ipa")
-	engineName := jit.AddEngineFlag(flag.CommandLine)
-	heapFlags := vm.AddHeapFlags(flag.CommandLine)
-	scale := flag.Int("scale", 1, "iteration divisor (1 = full calibrated size)")
 	list := flag.Bool("list", false, "list available scenarios and exit")
 	asJSON := flag.Bool("json", false, "emit the results as JSON")
 	perMethod := flag.Bool("permethod", false, "with -agent ipa: per-native-method breakdown")
 	tierStats := flag.Bool("tierstats", false, "append the execution tier's host-side statistics per run")
-	scenarioFile := scenarios.AddFlag(flag.CommandLine)
-	parallel := runner.AddFlag(flag.CommandLine)
-	robust := runner.AddRobustFlags(flag.CommandLine)
-	cacheFlags := resultcache.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
+	flags := cli.Register(flag.CommandLine)
 	flag.Parse()
 
-	if err := scenarios.LoadIfSet(*scenarioFile); err != nil {
-		fatal(err)
-	}
 	if *list {
+		if _, err := flags.Load(); err != nil {
+			fatal(err)
+		}
 		for _, n := range scenarios.Names() {
 			fmt.Println(n)
 		}
@@ -98,10 +86,6 @@ func main() {
 	if err := registry.Validate(*agentName); err != nil {
 		fatal(err)
 	}
-	engine, err := jit.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
-	}
 	// The JSON report is a stable engine-independent serialization (the
 	// cross-engine byte-identity checks diff it); host-side tier stats
 	// have no place in it, so reject the combination instead of silently
@@ -109,82 +93,38 @@ func main() {
 	if *tierStats && *asJSON {
 		fatal(fmt.Errorf("-tierstats does not apply to -json (the JSON report is engine-independent by design)"))
 	}
-
+	env, err := flags.Open("jprof")
+	if err != nil {
+		fatal(err)
+	}
 	scns, err := scenarios.Resolve(flag.Args())
 	if err != nil {
 		fatal(err)
 	}
-
-	opts := vm.DefaultOptions()
-	opts.Tier = engine
-	if err := heapFlags.Apply(&opts); err != nil {
-		fatal(err)
-	}
+	opts := env.Opts
 	registry.TuneOptions(*agentName, &opts)
-
-	injector, err := faultinject.FromEnv()
-	if err != nil {
-		fatal(err)
-	}
-	cache, err := cacheFlags.Open()
-	if err != nil {
-		fatal(err)
-	}
-	tel := telFlags.Open()
-	sum := telemetry.NewSummary("jprof", os.Stderr)
-	cache.SetTelemetry(tel)
-	res := &resultcache.Resolver{Cache: cache, VerifyN: cacheFlags.VerifyN(), Tel: tel}
-	ropts := runner.Options{
-		Parallelism: *parallel,
-		EmitFailed:  true,
-		Hook:        injector.Hook(),
-		Telemetry:   tel,
-	}
-	robust.Apply(&ropts)
-	cells := make([]runner.Cell[string], len(scns))
+	reports := make([]cli.Report, len(scns))
 	for i, s := range scns {
-		s := s
-		cells[i] = runner.Cell[string]{
-			Key:   s.Name() + "/" + *agentName,
-			Group: s.Family,
-			Do: func(ctx context.Context) (string, error) {
-				key, err := profileKey(s, *agentName, *scale, opts, *asJSON, *perMethod, *tierStats)
-				if err != nil {
-					return "", err
-				}
-				cell := resultcache.Cell{Key: key, Name: s.Name() + "/" + *agentName, Family: s.Family}
-				return resultcache.Resolve(ctx, res, cell, func(ctx context.Context) (string, error) {
-					return profileOne(ctx, s, *agentName, *scale, opts, *asJSON, *perMethod, *tierStats)
-				})
+		reports[i] = cli.Report{
+			Name:   s.Name() + "/" + *agentName,
+			Family: s.Family,
+			Key: func() (string, error) {
+				return profileKey(s, *agentName, flags.Scale, opts, *asJSON, *perMethod, *tierStats)
+			},
+			Render: func(ctx context.Context) (string, error) {
+				return profileOne(ctx, s, *agentName, flags.Scale, opts, *asJSON, *perMethod, *tierStats)
 			},
 		}
 	}
-	results, err := runner.Run(context.Background(), ropts, cells)
-	failed := 0
-	for i, r := range results {
-		if i > 0 && !*asJSON {
-			fmt.Println()
-		}
-		tel.Count(cells[i].Group, telemetry.MetricCells, 1)
-		if r.Err != nil {
-			failed++
-			tel.Count(cells[i].Group, telemetry.MetricCellsFailed, 1)
-			fmt.Printf("benchmark %s: FAILED: %v\n", r.Key, r.Err)
-			continue
-		}
-		fmt.Print(r.Value)
+	sep := "\n"
+	if *asJSON {
+		sep = ""
 	}
-	cache.Finish(sum)
-	telFlags.Finish(tel, sum)
-	if failed > 0 {
-		// Cell failures are already reported in place; the batch error is
-		// their FirstError, so the partial exit subsumes it.
-		sum.Partial(failed, len(results))
-		os.Exit(harness.ExitPartial)
-	}
+	code, err := env.Reports(reports, sep, "benchmark %s: FAILED: %v\n")
 	if err != nil {
 		fatal(err)
 	}
+	os.Exit(code)
 }
 
 // profileKey derives the content-addressed cache key for one report: the

@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	jvmsim [-agent NAME] [-engine interp|jit|auto] [-scenario FILE]
+//	jvmsim [-agent NAME] [-engine interp|jit] [-scenario FILE]
 //	       [-heap-nursery W] [-heap-tenured W] [-heap-tenure-age N] [-heap-limit W]
 //	       [-scale K] [-parallel N] [-tierstats]
-//	       [-cell-timeout D] [-max-retries N] [-retry-seed S]
+//	       [-cell-timeout D] [-max-retries N]
 //	       [-cache-dir DIR] [-cache off|ro|rw] [-cache-verify N] [-cache-max-mb MB]
 //	       [-trace FILE] [-metrics FILE]
 //	       [-cpuprofile F] [-memprofile F] [-dump|-instrmix]
@@ -25,9 +25,10 @@
 // isolated VMs, -parallel at a time, with output in argument order.
 // -agent attaches a profiling agent and appends its report summary (the
 // default "none" keeps the bare-JVM behaviour). -engine selects the
-// execution tier (interp, jit, auto); every simulated statistic is
-// byte-identical across engines, and -tierstats appends the tier's
-// host-side bookkeeping (promotions, compiled frames, deopts) per run.
+// execution tier (interp or jit; "auto" is accepted as jit); every
+// simulated statistic is byte-identical across engines, and -tierstats
+// appends the tier's host-side bookkeeping (promotions, compiled frames,
+// deopts) per run.
 // -dump and -instrmix are static analyses and always run sequentially.
 //
 // -trace writes a Chrome trace_event JSON timeline of the run (loadable
@@ -80,14 +81,10 @@ import (
 	"repro/internal/agents/registry"
 	"repro/internal/bytecode"
 	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/harness"
 	"repro/internal/jit"
-	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/scenarios"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -108,37 +105,19 @@ func main() {
 		os.Exit(runSearch(os.Args[2:]))
 	}
 	agentName := registry.AddFlag(flag.CommandLine, "none")
-	engineName := jit.AddEngineFlag(flag.CommandLine)
-	heapFlags := vm.AddHeapFlags(flag.CommandLine)
-	scale := flag.Int("scale", 1, "iteration divisor")
 	tierStats := flag.Bool("tierstats", false, "append the execution tier's host-side statistics per run")
 	dump := flag.Bool("dump", false, "disassemble the generated classes instead of running")
 	instrmix := flag.Bool("instrmix", false, "print static instruction-mix metrics instead of running")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulator to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile of the simulator to `file`")
-	scenarioFile := scenarios.AddFlag(flag.CommandLine)
-	parallel := runner.AddFlag(flag.CommandLine)
-	robust := runner.AddRobustFlags(flag.CommandLine)
-	cacheFlags := resultcache.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
+	flags := cli.Register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() < 1 {
 		// Before profile setup: os.Exit skips the deferred profile writers.
 		fmt.Fprintln(os.Stderr, "usage: jvmsim [-agent NAME] [-engine NAME] [-scenario FILE] [-scale K] [-parallel N] [-tierstats] [-trace F] [-metrics F] [-cpuprofile F] [-memprofile F] [-dump|-instrmix] <scenario|family>... | all")
 		os.Exit(2)
 	}
-	if err := scenarios.LoadIfSet(*scenarioFile); err != nil {
-		fatal(err)
-	}
 	if err := registry.Validate(*agentName); err != nil {
-		fatal(err)
-	}
-	engine, err := jit.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
-	}
-	scns, err := scenarios.Resolve(flag.Args())
-	if err != nil {
 		fatal(err)
 	}
 	if *cpuprofile != "" {
@@ -158,106 +137,80 @@ func main() {
 	}
 
 	if *instrmix || *dump {
-		// Static analyses never run the program, so an agent, engine or
-		// tier-stats selection would be dropped silently — reject them
-		// like tables rejects inapplicable flag combinations.
+		// Static analyses never run the program: they load the scenarios
+		// but open no cache, and an agent, engine or tier-stats selection
+		// would be dropped silently — reject them like tables rejects
+		// inapplicable flag combinations.
+		opts, err := flags.Load()
+		if err != nil {
+			fatal(err)
+		}
 		if *agentName != "none" {
 			fatal(fmt.Errorf("-agent does not apply to -dump/-instrmix (static analyses never run the program)"))
 		}
-		if engine != jit.EngineInterp || *tierStats {
+		if opts.Tier != jit.EngineInterp || *tierStats {
 			fatal(fmt.Errorf("-engine/-tierstats do not apply to -dump/-instrmix (static analyses never run the program)"))
 		}
-		for _, s := range scns {
-			prog, err := workloads.BuildWorkload(s.Workload.Scale(*scale))
-			if err != nil {
-				fatal(err)
-			}
-			if *instrmix {
-				if err := printInstrMix(prog); err != nil {
-					fatal(err)
-				}
-			} else {
-				if err := printDump(prog); err != nil {
-					fatal(err)
-				}
-			}
+		if err := static(flag.Args(), flags.Scale, *instrmix); err != nil {
+			fatal(err)
 		}
 		return
 	}
 
-	opts := vm.DefaultOptions()
-	opts.Tier = engine
-	if err := heapFlags.Apply(&opts); err != nil {
+	env, err := flags.Open("jvmsim")
+	if err != nil {
 		fatal(err)
 	}
+	scns, err := scenarios.Resolve(flag.Args())
+	if err != nil {
+		fatal(err)
+	}
+	opts := env.Opts
 	registry.TuneOptions(*agentName, &opts)
-
-	injector, err := faultinject.FromEnv()
-	if err != nil {
-		fatal(err)
-	}
-	tel := telFlags.Open()
-	sum := telemetry.NewSummary("jvmsim", os.Stderr)
-	// Opened after the static-analysis paths so -dump/-instrmix never
-	// create or stamp a cache directory they will not use.
-	cache, err := cacheFlags.Open()
-	if err != nil {
-		fatal(err)
-	}
-	cache.SetTelemetry(tel)
-	res := &resultcache.Resolver{Cache: cache, VerifyN: cacheFlags.VerifyN(), Tel: tel}
-
-	ropts := runner.Options{
-		Parallelism: *parallel,
-		EmitFailed:  true,
-		Hook:        injector.Hook(),
-		Telemetry:   tel,
-	}
-	robust.Apply(&ropts)
-	cells := make([]runner.Cell[string], len(scns))
+	reports := make([]cli.Report, len(scns))
 	for i, s := range scns {
-		s := s
-		cells[i] = runner.Cell[string]{
-			Key:   s.Name() + "/" + *agentName,
-			Group: s.Family,
-			Do: func(ctx context.Context) (string, error) {
-				key, err := cellKey(s, *agentName, *scale, opts, *tierStats)
-				if err != nil {
-					return "", err
-				}
-				cell := resultcache.Cell{Key: key, Name: s.Name() + "/" + *agentName, Family: s.Family}
-				return resultcache.Resolve(ctx, res, cell, func(ctx context.Context) (string, error) {
-					return runOne(ctx, s, *agentName, *scale, opts, *tierStats)
-				})
+		reports[i] = cli.Report{
+			Name:   s.Name() + "/" + *agentName,
+			Family: s.Family,
+			Key: func() (string, error) {
+				return cellKey(s, *agentName, flags.Scale, opts, *tierStats)
+			},
+			Render: func(ctx context.Context) (string, error) {
+				return runOne(ctx, s, *agentName, flags.Scale, opts, *tierStats)
 			},
 		}
 	}
-	results, err := runner.Run(context.Background(), ropts, cells)
-	failed := 0
-	for i, r := range results {
-		if i > 0 {
-			fmt.Println()
-		}
-		tel.Count(cells[i].Group, telemetry.MetricCells, 1)
-		if r.Err != nil {
-			failed++
-			tel.Count(cells[i].Group, telemetry.MetricCellsFailed, 1)
-			fmt.Printf("benchmark %s\n  FAILED: %v\n", r.Key, r.Err)
-			continue
-		}
-		fmt.Print(r.Value)
-	}
-	cache.Finish(sum)
-	telFlags.Finish(tel, sum)
-	if failed > 0 {
-		// Cell failures are already reported in place; the batch error is
-		// their FirstError, so the partial exit subsumes it.
-		sum.Partial(failed, len(results))
-		exit(harness.ExitPartial)
-	}
+	code, err := env.Reports(reports, "\n", "benchmark %s\n  FAILED: %v\n")
 	if err != nil {
 		fatal(err)
 	}
+	if code != 0 {
+		exit(code)
+	}
+}
+
+// static prints the disassembly (or, with instrmix, the instruction-mix
+// metrics) of every named scenario's generated classes.
+func static(args []string, scale int, instrmix bool) error {
+	scns, err := scenarios.Resolve(args)
+	if err != nil {
+		return err
+	}
+	for _, s := range scns {
+		prog, err := workloads.BuildWorkload(s.Workload.Scale(scale))
+		if err != nil {
+			return err
+		}
+		if instrmix {
+			err = printInstrMix(prog)
+		} else {
+			err = printDump(prog)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cellKey derives the content-addressed key for one cell: the scenario's

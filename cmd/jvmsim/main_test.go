@@ -73,7 +73,8 @@ func cacheEntries(dir string) (int, error) {
 // (faultinject's os.Exit(137), indistinguishable from SIGKILL as far as
 // the cache is concerned) resumes, by rerunning on the same -cache-dir,
 // to output byte-identical to an uninterrupted run — per engine,
-// sequential and parallel.
+// sequential and parallel. "auto" is the spelling of jit the binaries
+// still accept; this is its one end-to-end run.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	for _, engine := range []string{"interp", "jit", "auto"} {
 		for _, par := range []string{"1", "4"} {
@@ -130,9 +131,18 @@ func TestKillMidCampaignResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	// Poll until the first entry lands; errors while the binary is still
-	// creating and stamping the directory just mean "not yet".
-	for n, _ := cacheEntries(dir); n == 0; n, _ = cacheEntries(dir) {
+	// Poll until the first entry lands. Opening the directory while the
+	// binary is still creating and stamping it must never fail.
+	for {
+		n, err := cacheEntries(dir)
+		if err != nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("opening the cache while the campaign creates it: %v", err)
+		}
+		if n > 0 {
+			break
+		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			cmd.Wait()

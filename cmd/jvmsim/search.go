@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/cli"
 	"repro/internal/difftest"
 	"repro/internal/harness"
 	"repro/internal/scenarios"
@@ -53,11 +54,10 @@ func runSearch(args []string) int {
 	format := fs.String("format", "text", "output format: text or json")
 	outDir := fs.String("out", "examples/scenarios/found",
 		"directory minimized findings are written to as scenario JSON (empty disables)")
-	scenarioFile := scenarios.AddFlag(fs)
 	record := fs.String("record", "", "record/compile mode: trace this mini-JDK app (ziptool, jdkapp) instead of searching")
 	recordOut := fs.String("o", "", "with -record: write the compiled scenario file here (default stdout)")
 	replay := fs.Bool("replay", false, "replay mode: re-check the argument scenario files against their pins and every oracle")
-	telFlags := telemetry.AddFlags(fs)
+	flags := cli.RegisterSearch(fs)
 	fs.Parse(args)
 	if *format != "text" && *format != "json" {
 		fmt.Fprintln(os.Stderr, "jvmsim search: -format must be text or json")
@@ -85,14 +85,14 @@ func runSearch(args []string) int {
 	// A -scenario file's entries join the seed pool (and are judged
 	// unmutated first), so a regression corpus can be attacked directly.
 	var extra []scenarios.Scenario
-	if *scenarioFile != "" {
-		list, err := scenarios.LoadFile(*scenarioFile)
+	if flags.Scenario != "" {
+		list, err := scenarios.LoadFile(flags.Scenario)
 		if err != nil {
 			return searchFatal(err)
 		}
 		extra = list
 	}
-	tel := telFlags.Open()
+	tel := flags.Recorder()
 	sum := telemetry.NewSummary("jvmsim search", os.Stderr)
 	res, err := scensearch.Search(scensearch.Config{
 		Seed:   *seed,
@@ -103,7 +103,7 @@ func runSearch(args []string) int {
 		Tel:    tel,
 	})
 	if err != nil {
-		telFlags.Finish(tel, sum)
+		telemetry.WriteFiles(tel, sum, flags.Trace, flags.Metrics)
 		return searchFatal(err)
 	}
 
@@ -124,7 +124,7 @@ func runSearch(args []string) int {
 		if *outDir != "" {
 			path := filepath.Join(*outDir, f.Scenario.Name()+".json")
 			if err := writeScenarioFile(path, f.Scenario); err != nil {
-				telFlags.Finish(tel, sum)
+				telemetry.WriteFiles(tel, sum, flags.Trace, flags.Metrics)
 				return searchFatal(err)
 			}
 			sf.File = path
@@ -152,7 +152,7 @@ func runSearch(args []string) int {
 			}
 		}
 	}
-	telFlags.Finish(tel, sum)
+	telemetry.WriteFiles(tel, sum, flags.Trace, flags.Metrics)
 	if len(res.Findings) > 0 {
 		return harness.ExitFound
 	}

@@ -6,10 +6,10 @@
 // Usage:
 //
 //	tables [-profile NAME] [-scenario FILE] [-agents LIST]
-//	       [-engine interp|jit|auto] [-warmup N]
+//	       [-engine interp|jit] [-warmup N]
 //	       [-heap-nursery W] [-heap-tenured W] [-heap-tenure-age N] [-heap-limit W]
 //	       [-table 1|2|all] [-runs N] [-scale K] [-parallel N]
-//	       [-cell-timeout D] [-max-retries N] [-retry-seed S]
+//	       [-cell-timeout D] [-max-retries N]
 //	       [-cache-dir DIR] [-cache off|ro|rw] [-cache-verify N]
 //	       [-cache-max-mb MB] [-trace FILE] [-metrics FILE]
 //
@@ -70,65 +70,21 @@ import (
 	"os"
 
 	"repro/internal/agents/registry"
-	"repro/internal/faultinject"
+	"repro/internal/cli"
 	"repro/internal/harness"
-	"repro/internal/jit"
-	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/scenarios"
-	"repro/internal/telemetry"
-	"repro/internal/vm"
 )
 
 func main() {
 	table := flag.String("table", "all", "which paper table to regenerate: 1, 2 or all")
 	runs := flag.Int("runs", 1, "repetitions per measurement (median reported)")
-	scale := flag.Int("scale", 1, "iteration divisor (1 = full calibrated size)")
 	warmup := flag.Int("warmup", 0, "discarded warmup repetitions per measurement cell")
 	markdown := flag.Bool("markdown", false, "emit the full campaign as a Markdown report")
 	verify := flag.Bool("verify", false, "verify the paper's qualitative claims and exit non-zero on failure")
 	profile := flag.String("profile", "paper", "scenario profile to run (paper renders the paper tables; any other family or 'all' runs a campaign)")
-	engineName := jit.AddEngineFlag(flag.CommandLine)
-	heapFlags := vm.AddHeapFlags(flag.CommandLine)
-	scenarioFile := scenarios.AddFlag(flag.CommandLine)
 	agentList := registry.AddListFlag(flag.CommandLine, "none,spa,ipa")
-	parallel := runner.AddFlag(flag.CommandLine)
-	robust := runner.AddRobustFlags(flag.CommandLine)
-	cacheFlags := resultcache.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
+	flags := cli.Register(flag.CommandLine)
 	flag.Parse()
-
-	engine, err := jit.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := harness.DefaultConfig()
-	cfg.Runs = *runs
-	cfg.Scale = *scale
-	cfg.Warmup = *warmup
-	cfg.Parallelism = *parallel
-	cfg.CellTimeout = *robust.CellTimeout
-	cfg.MaxRetries = *robust.MaxRetries
-	cfg.RetrySeed = *robust.RetrySeed
-	cfg.Opts.Tier = engine
-	if err := heapFlags.Apply(&cfg.Opts); err != nil {
-		fatal(err)
-	}
-	injector, err := faultinject.FromEnv()
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Hook = injector.Hook()
-	cache, err := cacheFlags.Open()
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Cache = cache
-	cfg.CacheVerify = cacheFlags.VerifyN()
-	tel := telFlags.Open()
-	sum := telemetry.NewSummary("tables", os.Stderr)
-	cfg.Telemetry = tel
-	cache.SetTelemetry(tel)
 
 	// Validate -agents up front regardless of mode, and reject it with
 	// the paper profile, whose tables are defined over the fixed
@@ -149,12 +105,16 @@ func main() {
 	}
 	// The paper profile never includes loaded scenarios, so accepting the
 	// file there would silently measure nothing from it.
-	if *scenarioFile != "" && *profile == "paper" {
+	if flags.Scenario != "" && *profile == "paper" {
 		fatal(fmt.Errorf("-scenario requires a campaign profile (e.g. -profile custom or -profile all); -profile paper never measures loaded scenarios"))
 	}
-	if err := scenarios.LoadIfSet(*scenarioFile); err != nil {
+	env, err := flags.Open("tables")
+	if err != nil {
 		fatal(err)
 	}
+	cfg := env.Config()
+	cfg.Runs = *runs
+	cfg.Warmup = *warmup
 
 	if *profile != "paper" {
 		// The claim verifier and the Markdown report are defined over the
@@ -166,7 +126,7 @@ func main() {
 		if *table != "all" {
 			fatal(fmt.Errorf("-table applies only to -profile paper (got -profile %s)", *profile))
 		}
-		runCampaign(*profile, agents, cfg, telFlags, sum)
+		runCampaign(*profile, agents, cfg, env)
 		return
 	}
 
@@ -176,8 +136,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(rep.String())
-		cache.Finish(sum)
-		telFlags.Finish(tel, sum)
+		env.Finish()
 		if !rep.OK() {
 			os.Exit(1)
 		}
@@ -200,8 +159,7 @@ func main() {
 		if err := harness.WriteMarkdown(os.Stdout, rows1, geo, rows2); err != nil {
 			fatal(err)
 		}
-		cache.Finish(sum)
-		telFlags.Finish(tel, sum)
+		env.Finish()
 		return
 	}
 
@@ -235,8 +193,7 @@ func main() {
 	if *table != "1" && *table != "2" && *table != "all" {
 		fatal(fmt.Errorf("unknown -table %q (want 1, 2 or all)", *table))
 	}
-	cache.Finish(sum)
-	telFlags.Finish(tel, sum)
+	env.Finish()
 }
 
 // runCampaign measures a non-paper profile: every profile scenario under
@@ -244,7 +201,7 @@ func main() {
 // finished cell, then the expected-value check verdict. Failed cells
 // render as FAILED rows and degrade the exit code to partial (3); check
 // failures exit fatal (1).
-func runCampaign(profile string, agents []string, cfg harness.Config, telFlags *telemetry.Flags, sum *telemetry.Summary) {
+func runCampaign(profile string, agents []string, cfg harness.Config, env *cli.Env) {
 	scns, err := scenarios.Profile(profile)
 	if err != nil {
 		fatal(err)
@@ -260,8 +217,7 @@ func runCampaign(profile string, agents []string, cfg harness.Config, telFlags *
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Cache.Finish(sum)
-	telFlags.Finish(cfg.Telemetry, sum)
+	env.Finish()
 	fmt.Println()
 	fmt.Print(harness.RenderChecks(res.CheckFailures))
 	if res.Failed > 0 {

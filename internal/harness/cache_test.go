@@ -49,7 +49,7 @@ func runCachedCampaign(t *testing.T, suite []scenarios.Scenario, cfg Config) (*C
 // parallel, with and without the verify sample.
 func TestCampaignCacheColdWarmByteIdentical(t *testing.T) {
 	suite := robustScenarios(t)
-	for _, engine := range []jit.Engine{jit.EngineInterp, jit.EngineJIT, jit.EngineAuto} {
+	for _, engine := range []jit.Engine{jit.EngineInterp, jit.EngineJIT} {
 		for _, parallelism := range []int{1, 4} {
 			t.Run(engine.String()+"-par"+string(rune('0'+parallelism)), func(t *testing.T) {
 				dir := t.TempDir()

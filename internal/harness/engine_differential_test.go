@@ -33,8 +33,8 @@ func stripTier(res *CampaignResult) {
 // guarantee: every scenario family — the paper profile and each
 // synthetic family, tier-sensitive included — measured under none, SPA
 // and IPA, produces byte-identical campaign rows, reports, ground truth
-// and check verdicts on -engine=interp, jit and auto, sequentially and
-// in parallel.
+// and check verdicts on -engine=interp and jit, sequentially and in
+// parallel.
 func TestEngineDifferentialAllFamilies(t *testing.T) {
 	scns, err := scenarios.Profile("all")
 	if err != nil {
@@ -61,7 +61,6 @@ func TestEngineDifferentialAllFamilies(t *testing.T) {
 	}{
 		{"jit-sequential", jit.EngineJIT, 1},
 		{"jit-parallel", jit.EngineJIT, 8},
-		{"auto-sequential", jit.EngineAuto, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, text := run(tc.engine, tc.parallelism)
@@ -83,7 +82,7 @@ func TestEngineDifferentialAllFamilies(t *testing.T) {
 // every scenario's hot loops cross the OSR threshold and every call-heavy
 // phase runs long enough to exercise inline sites — and asserts the full
 // campaign (cycles, instruction counts, reports, check verdicts) is
-// byte-identical across -engine=interp|jit|auto, sequentially and with 8
+// byte-identical across -engine=interp|jit, sequentially and with 8
 // parallel workers.
 func TestEngineDifferentialScale8(t *testing.T) {
 	scns, err := scenarios.Profile("all")
@@ -114,8 +113,6 @@ func TestEngineDifferentialScale8(t *testing.T) {
 		{"interp-parallel", jit.EngineInterp, 8},
 		{"jit-sequential", jit.EngineJIT, 1},
 		{"jit-parallel", jit.EngineJIT, 8},
-		{"auto-sequential", jit.EngineAuto, 1},
-		{"auto-parallel", jit.EngineAuto, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, text := run(tc.engine, tc.parallelism)

@@ -50,7 +50,7 @@ func gcCampaign(t *testing.T, cfg Config) (*CampaignResult, string) {
 // criterion: at scale 8 the family reports nonzero collections, and the
 // campaign — rows, reports, ground truth, GC ledgers and check verdicts —
 // is byte-identical between the fast and instrumented interpreter loops,
-// between -engine=interp, jit and auto, and between sequential and
+// between -engine=interp and jit, and between sequential and
 // parallel cell execution.
 func TestGCPressureDifferentialScale8(t *testing.T) {
 	base := gcConfig()
@@ -72,7 +72,6 @@ func TestGCPressureDifferentialScale8(t *testing.T) {
 	}{
 		{"instrumented-loop", func(c *Config) { c.Opts.ForceInstrumentedLoop = true }},
 		{"engine-jit", func(c *Config) { c.Opts.Tier = jit.EngineJIT }},
-		{"engine-auto", func(c *Config) { c.Opts.Tier = jit.EngineAuto }},
 		{"parallel-8", func(c *Config) { c.Parallelism = 8 }},
 		{"engine-jit-parallel-8", func(c *Config) { c.Opts.Tier = jit.EngineJIT; c.Parallelism = 8 }},
 	} {

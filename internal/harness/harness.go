@@ -121,8 +121,6 @@ type Config struct {
 	// MaxRetries grants extra attempts to cells failing with a transient
 	// error. See runner.Options.MaxRetries.
 	MaxRetries int
-	// RetrySeed seeds the deterministic retry backoff jitter.
-	RetrySeed int64
 	// Hook is the runner's fault-injection seam, forwarded verbatim
 	// (internal/faultinject implements it). Nil injects nothing.
 	Hook runner.Hook
@@ -178,7 +176,6 @@ func (c Config) runnerOptions() runner.Options {
 		EmitFailed:  !c.FailFast,
 		CellTimeout: c.CellTimeout,
 		MaxRetries:  c.MaxRetries,
-		RetrySeed:   c.RetrySeed,
 		Hook:        c.Hook,
 		Telemetry:   c.Telemetry,
 	}
@@ -216,7 +213,7 @@ type Measurement struct {
 	// the last measured repetition (summed across a warehouse sequence).
 	// It never feeds a simulated metric — it exists so campaigns and
 	// tests can assert that promotion, deopt and invalidation actually
-	// happened under -engine=jit/auto.
+	// happened under -engine=jit.
 	Tier jit.Stats
 }
 

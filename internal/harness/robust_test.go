@@ -183,7 +183,7 @@ func runCachedText(ctx context.Context, t *testing.T, camp Campaign, dir string)
 // proof at scale 8: a campaign killed between cells by the crash
 // injector resumes by rerunning on its cache directory and renders
 // byte-identical output to an uninterrupted run — for sequential and
-// parallel execution, under every engine (interp, jit, auto).
+// parallel execution, under every engine (interp, jit).
 func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 	// More cells than the widest worker pool below: when the crash fires,
 	// in-flight cells may still complete and be stored, so only a matrix
@@ -197,7 +197,7 @@ func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 		t.Fatalf("paper profile has %d scenarios", len(full))
 	}
 	suite := full[:4]
-	for _, eng := range []string{"interp", "jit", "auto"} {
+	for _, eng := range []string{"interp", "jit"} {
 		for _, par := range []int{1, 4} {
 			t.Run(eng+"-par"+string(rune('0'+par)), func(t *testing.T) {
 				cfg := DefaultConfig()

@@ -21,7 +21,7 @@ func TestTelemetryDifferentialGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []jit.Engine{jit.EngineInterp, jit.EngineJIT, jit.EngineAuto} {
+	for _, engine := range []jit.Engine{jit.EngineInterp, jit.EngineJIT} {
 		for _, parallelism := range []int{1, 4} {
 			tel := telemetry.New(true)
 			cfg := DefaultConfig()

@@ -369,7 +369,7 @@ func (lo *lowerer) binOp(op bytecode.Op) error {
 				last.Imm2 = bImm
 				if defectMulAdd() {
 					// Armed test defect (see defect.go): every executor of
-					// the fused op inherits the wrong immediate, so jit/auto
+					// the fused op inherits the wrong immediate, so jit
 					// runs diverge observably from the interpreter.
 					last.Imm2 = bImm + 1
 				}

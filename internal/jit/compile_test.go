@@ -1,7 +1,6 @@
 package jit
 
 import (
-	"flag"
 	"strings"
 	"testing"
 
@@ -152,18 +151,24 @@ func TestCacheEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestParseEngine pins the shared flag vocabulary and its rejection path.
+// TestParseEngine pins the shared flag vocabulary and its rejection path;
+// "auto" stays accepted as a spelling of jit.
 func TestParseEngine(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Engine
-	}{{"interp", EngineInterp}, {"jit", EngineJIT}, {"auto", EngineAuto}} {
+	}{{"interp", EngineInterp}, {"jit", EngineJIT}, {"auto", EngineJIT}} {
 		got, err := ParseEngine(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
 		}
-		if got.String() != tc.in {
-			t.Fatalf("Engine(%q).String() = %q", tc.in, got)
+	}
+	if got := strings.Join(Engines(), ", "); got != "interp, jit" {
+		t.Fatalf("Engines() = %s", got)
+	}
+	for _, e := range []Engine{EngineInterp, EngineJIT} {
+		if back, err := ParseEngine(e.String()); err != nil || back != e {
+			t.Fatalf("Engine(%d).String() = %q does not parse back", e, e)
 		}
 	}
 	for _, bad := range []string{"", "Interp", "JIT", "fast", "interp "} {
@@ -172,25 +177,6 @@ func TestParseEngine(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "interp, jit, auto") {
 			t.Fatalf("rejection must name the allowed set, got %v", err)
 		}
-	}
-}
-
-// TestAddEngineFlag: the registered flag defaults to interp and round-
-// trips through ParseEngine, the per-command validation convention.
-func TestAddEngineFlag(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	v := AddEngineFlag(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if e, err := ParseEngine(*v); err != nil || e != EngineInterp {
-		t.Fatalf("default engine = %q (%v)", *v, err)
-	}
-	if err := fs.Parse([]string{"-engine", "auto"}); err != nil {
-		t.Fatal(err)
-	}
-	if e, _ := ParseEngine(*v); e != EngineAuto {
-		t.Fatalf("parsed engine = %v", e)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 const DefectEnvVar = "JVMSIM_DEFECT"
 
 // TestDefectMulAdd names the off-by-one in the fused multiply-add
-// superinstruction: the compile-time peephole emits Imm2+1, so jit and
-// auto runs of any workload whose kernel hits the (x*a)+b recurrence
+// superinstruction: the compile-time peephole emits Imm2+1, so jit runs
+// of any workload whose kernel hits the (x*a)+b recurrence
 // diverge from the interpreter while interp-only differentials stay
 // clean.
 const TestDefectMulAdd = "jit-muladd-off-by-one"

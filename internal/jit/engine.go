@@ -10,20 +10,19 @@
 //     producer/consumer fusion over the verifier's static stack depths;
 //   - the compiled-method cache (cache.go): units stamped with the VM's
 //     relink epoch, so any class load invalidates every unit;
-//   - the engine taxonomy (this file): the interp/jit/auto -engine knob
-//     every binary exposes, with shared parsing and flag registration.
+//   - the engine taxonomy (this file): the interp/jit -engine knob every
+//     binary exposes, with shared parsing.
 //
 // The tier is a host-level accelerator only. It never changes simulated
 // semantics: cycle accounting, ground truth, yield boundaries, reports
 // and results are byte-identical across engines, which the differential
 // suites in internal/vm and internal/harness pin down. Whenever an
 // observer needs per-instruction semantics (a tracer, an active sampling
-// hook, Options.ForceInstrumentedLoop), the VM deoptimizes back to the
-// instrumented interpreter loop instead of running compiled code.
+// hook, Options.ForceInstrumentedLoop), the VM neither promotes methods
+// nor enters compiled code: it runs the instrumented interpreter loop.
 package jit
 
 import (
-	"flag"
 	"fmt"
 	"strings"
 )
@@ -36,14 +35,11 @@ const (
 	// loops — the pre-tier behaviour, and the default.
 	EngineInterp Engine = iota
 	// EngineJIT promotes hot bytecode methods to compiled trace units at
-	// the configured threshold. Frames still deoptimize to the
-	// interpreter whenever per-instruction semantics are required.
+	// the configured threshold. While a per-instruction observer is
+	// installed (tracer, active sampling hook, or a forced instrumented
+	// loop) it neither promotes nor enters compiled code: every frame
+	// would deoptimize anyway.
 	EngineJIT
-	// EngineAuto is EngineJIT except that promotion is skipped while the
-	// VM has a per-instruction observer installed (tracer, active
-	// sampling hook, or a forced instrumented loop) — compiling would be
-	// pure waste since every frame would deoptimize anyway.
-	EngineAuto
 )
 
 // String names the engine as the -engine flag spells it.
@@ -51,38 +47,27 @@ func (e Engine) String() string {
 	switch e {
 	case EngineJIT:
 		return "jit"
-	case EngineAuto:
-		return "auto"
 	default:
 		return "interp"
 	}
 }
 
 // Engines lists the accepted -engine values in display order.
-func Engines() []string { return []string{"interp", "jit", "auto"} }
+func Engines() []string { return []string{"interp", "jit"} }
 
-// ParseEngine maps a -engine flag value to its Engine. Unknown values are
-// a hard error naming the allowed set, matching the agent registry's
+// ParseEngine maps a -engine flag value to its Engine. "auto" is still
+// accepted and means jit: it named the jit variant that skipped promotion
+// under observers, which jit now always does. Unknown values are a hard
+// error naming every accepted spelling, matching the agent registry's
 // flag-validation convention: every binary rejects a bad engine the same
 // way instead of silently falling back.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "interp":
 		return EngineInterp, nil
-	case "jit":
+	case "jit", "auto":
 		return EngineJIT, nil
-	case "auto":
-		return EngineAuto, nil
 	}
-	return EngineInterp, fmt.Errorf("jit: unknown engine %q (allowed: %s)",
+	return EngineInterp, fmt.Errorf("jit: unknown engine %q (allowed: %s, auto)",
 		s, strings.Join(Engines(), ", "))
-}
-
-// AddEngineFlag registers the shared -engine flag on fs with the
-// project-wide help text and default, so every binary exposes the same
-// tier-selection knob. Pass the value to ParseEngine after fs.Parse; the
-// returned error is the per-command rejection path.
-func AddEngineFlag(fs *flag.FlagSet) *string {
-	return fs.String("engine", "interp",
-		"execution engine: "+strings.Join(Engines(), ", "))
 }

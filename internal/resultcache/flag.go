@@ -1,7 +1,6 @@
 package resultcache
 
 import (
-	"flag"
 	"fmt"
 	"os"
 )
@@ -12,72 +11,42 @@ import (
 // would not; the flags always win over the environment.
 const EnvVar = "JVMSIM_CACHE"
 
-// Flags holds the shared result-cache flags registered by AddFlags;
-// Open resolves them (plus the JVMSIM_CACHE environment) into a Cache.
-// The same flag set is wired into jvmsim, jprof and tables so the cache
-// behaves identically everywhere.
-type Flags struct {
-	Dir    *string
-	Mode   *string
-	Verify *int
-	MaxMB  *int
-}
-
-// AddFlags registers -cache-dir, -cache, -cache-verify and
-// -cache-max-mb on fs. The returned struct is valid after fs.Parse.
-func AddFlags(fs *flag.FlagSet) *Flags {
-	return &Flags{
-		Dir: fs.String("cache-dir", "",
-			"content-addressed result cache directory (default $"+EnvVar+")"),
-		Mode: fs.String("cache", "",
-			"result cache mode: off, ro or rw (default rw when a cache directory is configured, off otherwise)"),
-		Verify: fs.Int("cache-verify", 0,
-			"re-execute 1 in N cache hits (deterministic key sample) and fail loudly on any byte mismatch; 0 = off, 1 = every hit"),
-		MaxMB: fs.Int("cache-max-mb", 0,
-			"evict least-recently-used cache entries beyond this many MB at exit (0 = unbounded)"),
-	}
-}
-
-// Open resolves the parsed flags against the environment and opens the
-// cache. Precedence: -cache-dir beats $JVMSIM_CACHE; an explicit -cache
-// mode beats the dir-presence default; $JVMSIM_CACHE=off disables unless
-// a flag re-enables. Returns (nil, nil) when the cache is off.
-func (f *Flags) Open() (*Cache, error) {
-	dir := *f.Dir
+// OpenFlags opens the cache the CLI flags describe: -cache-dir (dir),
+// -cache (mode, "" when unset), -cache-verify (verifyN) and -cache-max-mb
+// (maxMB), resolved against $JVMSIM_CACHE. Precedence: -cache-dir beats
+// $JVMSIM_CACHE; an explicit -cache mode beats the dir-presence default;
+// $JVMSIM_CACHE=off disables unless a flag re-enables. Returns (nil,
+// nil) when the cache is off.
+func OpenFlags(dir, mode string, verifyN, maxMB int) (*Cache, error) {
 	env := os.Getenv(EnvVar)
 	if dir == "" && env != "" && env != "off" {
 		dir = env
 	}
-	modeStr := *f.Mode
-	if modeStr == "" {
-		if dir == "" || env == "off" && *f.Dir == "" {
-			modeStr = "off"
-		} else {
-			modeStr = "rw"
+	if mode == "" {
+		mode = "rw"
+		if dir == "" {
+			mode = "off"
 		}
 	}
-	mode, err := ParseMode(modeStr)
+	m, err := ParseMode(mode)
 	if err != nil {
 		return nil, err
 	}
-	if mode != ModeOff && dir == "" {
-		return nil, fmt.Errorf("resultcache: -cache=%s needs a directory: set -cache-dir or $%s", mode, EnvVar)
+	if m != ModeOff && dir == "" {
+		return nil, fmt.Errorf("resultcache: -cache=%s needs a directory: set -cache-dir or $%s", m, EnvVar)
 	}
-	if *f.Verify < 0 {
-		return nil, fmt.Errorf("resultcache: -cache-verify %d must be >= 0", *f.Verify)
+	if verifyN < 0 {
+		return nil, fmt.Errorf("resultcache: -cache-verify %d must be >= 0", verifyN)
 	}
-	if *f.MaxMB < 0 {
-		return nil, fmt.Errorf("resultcache: -cache-max-mb %d must be >= 0", *f.MaxMB)
+	if maxMB < 0 {
+		return nil, fmt.Errorf("resultcache: -cache-max-mb %d must be >= 0", maxMB)
 	}
-	c, err := Open(dir, mode)
+	c, err := Open(dir, m)
 	if err != nil {
 		return nil, err
 	}
 	if c != nil {
-		c.MaxBytes = int64(*f.MaxMB) << 20
+		c.MaxBytes = int64(maxMB) << 20
 	}
 	return c, nil
 }
-
-// VerifyN reports the parsed -cache-verify sampling denominator.
-func (f *Flags) VerifyN() int { return *f.Verify }

@@ -77,9 +77,11 @@ var sourceMetric = map[string]string{
 // Every caller — executing leader, dedup follower, cache hit — decodes
 // its T from the same canonical JSON bytes, so output is byte-identical
 // no matter which source served the cell. A cache record that does not
-// decode into T is a miss. Only successful payloads reach Put, and a Put
-// failure is runner.Transient: an unwritable cache directory spends
-// retries instead of failing the measurement outright.
+// decode into T is a miss, and the stats count it as one: hits and misses
+// are counted here, after the decode, never by Cache.Get. Only
+// successful payloads reach Put, and a Put failure is runner.Transient:
+// an unwritable cache directory spends retries instead of failing the
+// measurement outright.
 //
 // exec is a separate argument, not a field of Cell, so that it is only
 // ever called: a closure that cannot escape keeps what it captures (a
@@ -136,6 +138,7 @@ func resolve[T any](ctx context.Context, r *Resolver, c Cell, exec func(context.
 
 	if raw, ok := r.Cache.Get(c.Key); ok {
 		if verifySample(c.Key, r.VerifyN) {
+			r.Cache.countLookup(true)
 			fresh, err := execute()
 			if err != nil {
 				return zero, "", err
@@ -147,9 +150,12 @@ func resolve[T any](ctx context.Context, r *Resolver, c Cell, exec func(context.
 			return v, sourceVerify, err
 		}
 		if v, err := decode[T](raw, c.Name, sourceCache); err == nil {
+			r.Cache.countLookup(true)
 			return v, sourceCache, nil
 		}
 	}
+	// Absent, damaged, or not a T: the cell executes, so it is a miss.
+	r.Cache.countLookup(false)
 
 	raw, shared, err := r.memo.do(c.Key, publish)
 	if shared && err != nil {

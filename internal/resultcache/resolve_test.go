@@ -6,11 +6,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 )
 
 // returning is an execution that returns v and counts its calls.
@@ -134,6 +136,50 @@ func TestResolveUndecodableRecordIsMiss(t *testing.T) {
 		if raw, _ := c.Get(key); string(raw) != "7" {
 			t.Fatalf("payload %s: entry now %s, want the re-executed 7", payload, raw)
 		}
+	}
+}
+
+// TestResolveHitAccounting pins that a lookup counts as a hit only when
+// its record decodes into the cell's type: a planted record that does
+// not is re-executed and re-stored, and the stats trailer and the
+// telemetry process family both report it as a miss.
+func TestResolveHitAccounting(t *testing.T) {
+	dir := t.TempDir()
+	planter, err := Open(dir, ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "accounting")
+	if err := planter.Put(key, json.RawMessage(`"text"`)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir, ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New(false)
+	c.SetTelemetry(tel)
+	var calls atomic.Int64
+	if v, err := Resolve(context.Background(), &Resolver{Cache: c}, testCell(key), returning(7, &calls)); err != nil || v != 7 {
+		t.Fatalf("got %d, %v; want 7", v, err)
+	}
+	s := c.Stats()
+	if s.Hits != 0 || s.Misses != 1 || s.Puts != 1 {
+		t.Fatalf("stats %+v, want 0 hits / 1 miss / 1 put", s)
+	}
+	if got := s.String(); !strings.HasPrefix(got, "cache: 0 hits, 1 misses,") {
+		t.Fatalf("trailer %q", got)
+	}
+	m := tel.Metrics()
+	if h, ms := m.Counter(telemetry.ProcessFamily, telemetry.MetricProcCacheHits), m.Counter(telemetry.ProcessFamily, telemetry.MetricProcCacheMisses); h != 0 || ms != 1 {
+		t.Fatalf("process counters: %d hits, %d misses; want 0, 1", h, ms)
+	}
+	// The re-stored record now serves the cell, and counts as the hit.
+	if v, err := Resolve(context.Background(), &Resolver{Cache: c}, testCell(key), returning(-1, &calls)); err != nil || v != 7 || calls.Load() != 1 {
+		t.Fatalf("rerun got %d, %v after %d executions", v, err, calls.Load())
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("after rerun stats %+v, want 1 hit / 1 miss", s)
 	}
 }
 

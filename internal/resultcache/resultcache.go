@@ -182,9 +182,13 @@ func Open(dir string, mode Mode) (*Cache, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("resultcache: %w", err)
 		}
+		// Published like an entry, so a process opening the directory
+		// meanwhile sees either no stamp or the whole one. Not synced: the
+		// first fsync in a fresh directory costs milliseconds, which made
+		// filling a fresh cache measurably slower.
 		stamp := filepath.Join(dir, versionFile)
 		if _, err := os.Stat(stamp); os.IsNotExist(err) {
-			if err := os.WriteFile(stamp, []byte(LayoutVersion+"\n"), 0o644); err != nil {
+			if err := publish(dir, stamp, []byte(LayoutVersion+"\n"), false); err != nil {
 				return nil, fmt.Errorf("resultcache: stamping layout: %w", err)
 			}
 		}
@@ -192,30 +196,78 @@ func Open(dir string, mode Mode) (*Cache, error) {
 	return &Cache{dir: dir, mode: mode}, nil
 }
 
+// publish writes data to a temp file in dir (synced when sync is set)
+// and renames it to dst, so a reader — in this process or another one
+// sharing the directory — observes either no file or the complete one.
+func publish(dir, dst string, data []byte, sync bool) error {
+	tmp, err := os.CreateTemp(dir, TempPrefix+"*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil && sync {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
 // CheckLayout verifies dir is usable as a cache root: either absent,
 // empty, or stamped with the current LayoutVersion. It is shared with
 // the doctor's cache check.
 func CheckLayout(dir string) error {
-	stamp, err := os.ReadFile(filepath.Join(dir, versionFile))
-	if err == nil {
-		if got := strings.TrimSpace(string(stamp)); got != LayoutVersion {
-			return fmt.Errorf("resultcache: %s holds stale cache layout %q (this build writes %q); delete the directory or point -cache-dir at a fresh one",
-				dir, got, LayoutVersion)
-		}
-		return nil
-	}
-	if !os.IsNotExist(err) {
-		return fmt.Errorf("resultcache: reading layout stamp: %w", err)
+	if stamped, err := readStamp(dir); stamped || err != nil {
+		return err
 	}
 	// No stamp: acceptable only while the directory holds no entries —
 	// an unstamped populated directory is a pre-versioning (or foreign)
-	// layout.
-	entries, derr := os.ReadDir(dir)
-	if derr != nil || len(entries) == 0 {
+	// layout. In-flight temp files are not entries.
+	list, err := os.ReadDir(dir)
+	if err != nil {
 		return nil
 	}
+	entries := 0
+	for _, e := range list {
+		if e.Name() != versionFile && !strings.HasPrefix(e.Name(), TempPrefix) {
+			entries++
+		}
+	}
+	if entries == 0 {
+		return nil
+	}
+	// A process creating the directory stamps it before storing anything,
+	// so entries listed after a missing stamp may just mean the stamp
+	// landed in between: look again before refusing.
+	if stamped, err := readStamp(dir); stamped || err != nil {
+		return err
+	}
 	return fmt.Errorf("resultcache: %s holds %d entries but no layout stamp (pre-versioning or foreign layout); delete the directory or point -cache-dir at a fresh one",
-		dir, len(entries))
+		dir, entries)
+}
+
+// readStamp reports whether dir carries a layout stamp, and an error when
+// it cannot be read or names another layout generation.
+func readStamp(dir string) (bool, error) {
+	data, err := os.ReadFile(filepath.Join(dir, versionFile))
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return true, fmt.Errorf("resultcache: reading layout stamp: %w", err)
+	}
+	if got := strings.TrimSpace(string(data)); got != LayoutVersion {
+		return true, fmt.Errorf("resultcache: %s holds stale cache layout %q (this build writes %q); delete the directory or point -cache-dir at a fresh one",
+			dir, got, LayoutVersion)
+	}
+	return true, nil
 }
 
 // SetTelemetry attaches a telemetry recorder: every counter the cache
@@ -259,6 +311,8 @@ func (c *Cache) entryPath(key string) string {
 // record whose embedded key does not match — is a miss; the cache never
 // turns its own damage into a caller's crash. A hit touches the entry's
 // mtime so the LRU eviction pass sees recency, not just insertion order.
+// Get counts nothing: whether a found record serves the cell is known
+// only once the resolver has decoded it (see countLookup).
 func (c *Cache) Get(key string) (json.RawMessage, bool) {
 	if c == nil {
 		return nil, false
@@ -266,21 +320,31 @@ func (c *Cache) Get(key string) (json.RawMessage, bool) {
 	path := c.entryPath(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		c.misses.Add(1)
-		c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheMisses, 1)
 		return nil, false
 	}
 	var rec record
 	if err := json.Unmarshal(data, &rec); err != nil || rec.Key != key || len(rec.Payload) == 0 {
-		c.misses.Add(1)
-		c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheMisses, 1)
 		return nil, false
 	}
 	now := time.Now()
 	os.Chtimes(path, now, now) // best effort: LRU recency only
-	c.hits.Add(1)
-	c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheHits, 1)
 	return rec.Payload, true
+}
+
+// countLookup counts one resolved lookup as a hit or a miss, in the
+// stats trailer and the telemetry process family. Nil-safe: with the
+// cache off there are no lookups to count.
+func (c *Cache) countLookup(hit bool) {
+	if c == nil {
+		return
+	}
+	if hit {
+		c.hits.Add(1)
+		c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheHits, 1)
+		return
+	}
+	c.misses.Add(1)
+	c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheMisses, 1)
 }
 
 // Put stores payload (a canonical JSON encoding, e.g. from
@@ -300,26 +364,8 @@ func (c *Cache) Put(key string, payload json.RawMessage) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, TempPrefix+"*")
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(line); err == nil {
-		err = tmp.Sync()
-	} else {
-		tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpName)
+	if err := publish(c.dir, c.entryPath(key), line, true); err != nil {
 		return fmt.Errorf("resultcache: writing entry %s: %w", key, err)
-	}
-	if err := os.Rename(tmpName, c.entryPath(key)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("resultcache: publishing entry %s: %w", key, err)
 	}
 	c.puts.Add(1)
 	c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCachePuts, 1)

@@ -3,7 +3,6 @@ package resultcache
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,9 +45,10 @@ func TestPutGetRoundtrip(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("payload changed: %s != %s", got, payload)
 	}
+	// Hits and misses are the resolver's to count, after its decode.
 	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Puts != 1 {
-		t.Fatalf("stats %+v, want 1 hit / 1 miss / 1 put", s)
+	if s.Hits != 0 || s.Misses != 0 || s.Puts != 1 {
+		t.Fatalf("stats %+v, want 0 hits / 0 misses / 1 put", s)
 	}
 	// Reopening sees the persisted entry.
 	c2, err := Open(c.Dir(), ModeRO)
@@ -268,6 +268,51 @@ func TestConcurrentTwoCaches(t *testing.T) {
 	}
 }
 
+// TestOpenWhileCreating opens fresh cache directories read-only, over
+// and over, while another goroutine creates each one (rw open, then a
+// Put) — the shape of a test or a second process polling a directory
+// the first is still stamping. Every open must succeed: the stamp
+// appears atomically, and an entry listed after a missing stamp means
+// the stamp landed in between.
+func TestOpenWhileCreating(t *testing.T) {
+	const dirs = 200
+	root := t.TempDir()
+	key := testKey(t, "creating")
+	opens, failures := 0, 0
+	var first error
+	for i := 0; i < dirs; i++ {
+		dir := filepath.Join(root, fmt.Sprint(i))
+		done := make(chan error, 1)
+		go func() {
+			c, err := Open(dir, ModeRW)
+			if err == nil {
+				err = c.Put(key, json.RawMessage(`1`))
+			}
+			done <- err
+		}()
+		for polling := true; polling; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("creating %s: %v", dir, err)
+				}
+				polling = false
+			default:
+			}
+			opens++
+			if _, err := Open(dir, ModeRO); err != nil {
+				failures++
+				if first == nil {
+					first = err
+				}
+			}
+		}
+	}
+	if failures > 0 {
+		t.Fatalf("%d of %d read-only opens failed while the directory was being created; first: %v", failures, opens, first)
+	}
+}
+
 func TestNilCacheIsOff(t *testing.T) {
 	var c *Cache
 	if _, ok := c.Get("k"); ok {
@@ -456,59 +501,58 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 }
 
 func TestFlagsPrecedence(t *testing.T) {
-	newFlags := func(args ...string) *Flags {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f := AddFlags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return f
+	// open mirrors OpenFlags' flag arguments: -cache-dir, -cache,
+	// -cache-verify, -cache-max-mb.
+	type flags struct {
+		dir, mode      string
+		verifyN, maxMB int
 	}
+	open := func(f flags) (*Cache, error) { return OpenFlags(f.dir, f.mode, f.verifyN, f.maxMB) }
 	envDir := t.TempDir()
 	flagDir := t.TempDir()
 
 	t.Setenv(EnvVar, "")
-	if c, err := newFlags().Open(); err != nil || c != nil {
+	if c, err := open(flags{}); err != nil || c != nil {
 		t.Fatalf("no flags, no env: cache %v err %v, want off", c, err)
 	}
-	if _, err := newFlags("-cache", "rw").Open(); err == nil {
+	if _, err := open(flags{mode: "rw"}); err == nil {
 		t.Fatal("-cache rw with no directory must error")
 	}
 
 	t.Setenv(EnvVar, envDir)
-	c, err := newFlags().Open()
+	c, err := open(flags{})
 	if err != nil || c == nil || c.Dir() != envDir || c.Mode() != ModeRW {
 		t.Fatalf("env only: cache %v err %v, want rw at %s", c, err, envDir)
 	}
-	c, err = newFlags("-cache-dir", flagDir).Open()
+	c, err = open(flags{dir: flagDir})
 	if err != nil || c.Dir() != flagDir {
 		t.Fatalf("-cache-dir must beat $%s: got %v err %v", EnvVar, c, err)
 	}
-	c, err = newFlags("-cache", "ro").Open()
+	c, err = open(flags{mode: "ro"})
 	if err != nil || c.Mode() != ModeRO {
 		t.Fatalf("explicit -cache ro: got %v err %v", c, err)
 	}
-	if c, err := newFlags("-cache", "off").Open(); err != nil || c != nil {
+	if c, err := open(flags{mode: "off"}); err != nil || c != nil {
 		t.Fatalf("-cache off with env dir: cache %v err %v, want off", c, err)
 	}
 
 	t.Setenv(EnvVar, "off")
-	if c, err := newFlags().Open(); err != nil || c != nil {
+	if c, err := open(flags{}); err != nil || c != nil {
 		t.Fatalf("$%s=off: cache %v err %v, want off", EnvVar, c, err)
 	}
-	c, err = newFlags("-cache-dir", flagDir).Open()
+	c, err = open(flags{dir: flagDir})
 	if err != nil || c == nil || c.Mode() != ModeRW {
 		t.Fatalf("-cache-dir must override $%s=off: got %v err %v", EnvVar, c, err)
 	}
 
 	t.Setenv(EnvVar, "")
-	if _, err := newFlags("-cache-dir", flagDir, "-cache-verify", "-1").Open(); err == nil {
+	if _, err := open(flags{dir: flagDir, verifyN: -1}); err == nil {
 		t.Fatal("negative -cache-verify accepted")
 	}
-	if _, err := newFlags("-cache-dir", flagDir, "-cache-max-mb", "-1").Open(); err == nil {
+	if _, err := open(flags{dir: flagDir, maxMB: -1}); err == nil {
 		t.Fatal("negative -cache-max-mb accepted")
 	}
-	c, err = newFlags("-cache-dir", flagDir, "-cache-max-mb", "3").Open()
+	c, err = open(flags{dir: flagDir, maxMB: 3})
 	if err != nil || c.MaxBytes != 3<<20 {
 		t.Fatalf("-cache-max-mb 3: MaxBytes %d err %v", c.MaxBytes, err)
 	}

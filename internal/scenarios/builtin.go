@@ -177,7 +177,7 @@ func registerDeepChains() {
 
 // registerTierSensitive: workloads shaped around the execution tier's
 // promotion and deoptimization boundaries (internal/jit). Under
-// -engine=interp they are ordinary mixed workloads; under jit/auto they
+// -engine=interp they are ordinary mixed workloads; under jit they
 // drive the pipeline through its edges — kernels crossing the compile
 // threshold mid-run, hot/cold call-count splits, exception unwinds
 // through compiled frames, and quantum boundaries landing inside

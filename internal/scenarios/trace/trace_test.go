@@ -106,7 +106,6 @@ func replayLegs() []struct {
 		{"interp-fast", func(o *vm.Options) {}},
 		{"interp-instr", func(o *vm.Options) { o.ForceInstrumentedLoop = true }},
 		{"jit", func(o *vm.Options) { o.Tier = jit.EngineJIT }},
-		{"auto", func(o *vm.Options) { o.Tier = jit.EngineAuto }},
 	}
 }
 
@@ -134,7 +133,7 @@ func replayScenario(t *testing.T, s scenarios.Scenario, w workloads.Workload) {
 // TestCompileReplayPinned is the satellite-3 contract: record ziptool and
 // jdkapp, compile each to a pinned scenario, round-trip the scenario
 // through the JSON file format, and assert the pinned GroundTruth holds
-// byte-identically across interp|jit|auto, fast and instrumented loops,
+// byte-identically across interp|jit, fast and instrumented loops,
 // sequentially and with worker threads.
 func TestCompileReplayPinned(t *testing.T) {
 	for _, app := range []string{"ziptool", "jdkapp"} {

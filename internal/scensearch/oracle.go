@@ -29,8 +29,8 @@ type leg struct {
 }
 
 // searchOptions are the canonical options with the promotion thresholds
-// lowered so the jit and auto legs actually compile inside the small
-// workloads the mutation grammar emits.
+// lowered so the jit leg actually compiles inside the small workloads
+// the mutation grammar emits.
 func searchOptions() vm.Options {
 	o := scenarios.CanonicalOptions()
 	o.JITThreshold = 4
@@ -45,7 +45,6 @@ var oracles = []oracle{
 		legs: []leg{
 			{"interp", func(o *vm.Options) { o.Tier = jit.EngineInterp }},
 			{"jit", func(o *vm.Options) { o.Tier = jit.EngineJIT }},
-			{"auto", func(o *vm.Options) { o.Tier = jit.EngineAuto }},
 		},
 	},
 	{

@@ -3,7 +3,7 @@
 // that tries to make the simulator disagree with itself. Candidates are
 // mutated from a seed corpus (one minimal workload per phase kind, plus
 // any caller-provided scenarios), each candidate is judged by
-// differential oracles — interp|jit|auto engines, fast vs instrumented
+// differential oracles — interp|jit engines, fast vs instrumented
 // dispatch loops, legacy vs generational heap configurations — and any
 // divergence is automatically minimized and emitted as a pinned
 // regression scenario (family "found") ready for examples/scenarios/

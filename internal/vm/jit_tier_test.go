@@ -230,13 +230,13 @@ func TestJITRelinkInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestJITAutoSkipsObservedRuns: EngineAuto never compiles while a
+// TestJITAutoSkipsObservedRuns: EngineJIT never compiles while a
 // per-instruction observer is installed — the whole run stays on the
 // instrumented loop with zero tier activity.
 func TestJITAutoSkipsObservedRuns(t *testing.T) {
 	opts := DefaultOptions()
 	opts.CompileThreshold = 1
-	opts.Tier = jit.EngineAuto
+	opts.Tier = jit.EngineJIT
 	opts.ForceInstrumentedLoop = true
 	v := New(opts)
 	if err := v.LoadClasses([]*classfile.Class{buildDriver(t).Clone()}); err != nil {
@@ -252,7 +252,7 @@ func TestJITAutoSkipsObservedRuns(t *testing.T) {
 	}
 	st := v.TierStats()
 	if st.MethodsCompiled != 0 || st.CompiledFrames != 0 {
-		t.Fatalf("auto engine compiled under ForceInstrumentedLoop: %+v", st)
+		t.Fatalf("jit engine compiled under ForceInstrumentedLoop: %+v", st)
 	}
 }
 

@@ -63,11 +63,11 @@ type Options struct {
 	// units are never entered while it is set.
 	ForceInstrumentedLoop bool
 	// Tier selects the execution engine. EngineInterp (the zero value)
-	// runs everything on the interpreter's dispatch loops; EngineJIT and
-	// EngineAuto enable the internal/jit template tier, which promotes
-	// hot bytecode methods to compiled trace units and deoptimizes back
-	// to the instrumented interpreter whenever per-instruction semantics
-	// are required. The tier is a host-level accelerator: every
+	// runs everything on the interpreter's dispatch loops; EngineJIT
+	// enables the internal/jit template tier, which promotes hot bytecode
+	// methods to compiled trace units and deoptimizes back to the
+	// instrumented interpreter whenever per-instruction semantics are
+	// required. The tier is a host-level accelerator: every
 	// observable simulated value (cycles, instruction counts, ground
 	// truth, reports, results) is byte-identical across engines.
 	Tier jit.Engine
@@ -778,10 +778,9 @@ func (v *VM) maybePromote(m *Method) {
 	if m.invocations < v.CompileThresholdEffective() {
 		return
 	}
-	// Auto defers to the observers: compiling while every frame would
-	// deoptimize anyway is pure waste. EngineJIT compiles regardless; the
-	// per-frame dispatch still keeps units out of observed runs.
-	if v.opts.Tier == jit.EngineAuto && v.needsPerInstruction() {
+	// Compiling while an observer makes every frame deoptimize anyway is
+	// pure waste; the method promotes on a later unobserved invocation.
+	if v.needsPerInstruction() {
 		return
 	}
 	v.compileUnit(m)
